@@ -37,31 +37,26 @@
 //! terminates within TTL hops).
 
 use std::collections::HashMap;
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use actyp_proto::{
-    read_server_frame, write_frame, AdvertDelta, AdvertVersion, ClientFrame, RequestId,
-    ServerFrame, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
-};
+use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, RequestId, ServerFrame};
 
 use crate::allocation::{Allocation, AllocationError};
 use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
+use crate::conn::CorrConn;
 use crate::directory::{LocalDirectoryService, PoolInstanceRecord, SharedDirectory};
 use crate::gossip::{GossipEvent, GossipPlane};
 use crate::message::{RoutingState, StageAddress};
 use crate::query_manager::RouteCache;
 
-/// How long to wait for a peer daemon to accept a TCP connection.
-const PEER_CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-
 /// How long to wait for a peer's reply to one frame before declaring the
 /// link dead.  Generous because a `Delegate` reply includes the peer's
-/// whole downstream chain.
+/// whole downstream chain.  Also bounds the hello handshake and every
+/// frame write on the link.
 const PEER_REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Reply deadline of one peer health probe.  The probe frame
@@ -279,144 +274,25 @@ pub fn run_chain(
 // Peer links (the TCP implementation)
 // ---------------------------------------------------------------------------
 
-/// One live, *multiplexed* connection to a peer daemon, after the hello
-/// and pool-sync handshakes.
-///
-/// This is the same correlation machinery [`crate::remote::RemoteBackend`]
-/// proves out client-side, applied daemon-to-daemon: a background reader
-/// thread routes every reply frame to the request that sent it by
-/// [`RequestId`], so any number of delegation chains (and releases) share
-/// the one connection *concurrently* — the link mutex of the old design,
-/// which serialized concurrent delegations to the same peer for the whole
-/// WAN round trip, is gone.  The lease-holding property is preserved: it
-/// is still one TCP session per peer, so every allocation a peer granted
-/// this daemon stays leased to this same connection.
-struct MuxConn {
-    /// The peer's domain name, learned from its `PoolsSynced` reply
-    /// (empty until that handshake answers; interior-mutable because the
-    /// reader thread already shares the connection by then).
-    domain: Mutex<String>,
-    writer: Mutex<TcpStream>,
-    /// Requests awaiting their reply, by correlation id.  Sharded so
-    /// concurrent requesters on one peer link don't serialise on a single
-    /// map lock; correlation ids are sequential, so shards deal
-    /// round-robin.
-    pending: crate::shard::ShardedMap<crossbeam::channel::Sender<ServerFrame>>,
-    /// Why the connection died, once it has.
-    dead: Mutex<Option<String>>,
-    corr: AtomicU64,
-    reader: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl MuxConn {
-    /// The peer's domain name (empty before the pool-sync reply).
-    fn domain(&self) -> String {
-        self.domain.lock().clone()
-    }
-
-    /// Records the death reason and wakes every in-flight request.  The
-    /// `dead` lock is held across the `pending` clear so no request can
-    /// register between the two and hang forever (same discipline as the
-    /// remote backend client).
-    fn poison(&self, reason: String) {
-        let mut dead = self.dead.lock();
-        dead.get_or_insert(reason);
-        // Sweeps the shards one at a time; registration happens under the
-        // `dead` guard held here, so no request can slip into an
-        // already-swept shard and hang.
-        self.pending.clear();
-    }
-
-    /// One request/response exchange over the shared connection.  Other
-    /// threads' requests interleave freely; a reply that takes longer
-    /// than [`PEER_REPLY_TIMEOUT`] fails the exchange (and the caller
-    /// drops the link).
-    fn request(&self, build: impl FnOnce(RequestId) -> ClientFrame) -> Result<ServerFrame, String> {
-        self.request_deadline(PEER_REPLY_TIMEOUT, build)
-    }
-
-    /// [`MuxConn::request`] with an explicit reply deadline.  Health
-    /// probes use a much shorter one than delegations: a probe answer is
-    /// computed inline by the peer's I/O thread, so a slow reply means
-    /// the peer (or the path to it) is gone, not busy.
-    fn request_deadline(
-        &self,
-        timeout: Duration,
-        build: impl FnOnce(RequestId) -> ClientFrame,
-    ) -> Result<ServerFrame, String> {
-        let corr = RequestId(self.corr.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = crossbeam::channel::unbounded();
-        {
-            let dead = self.dead.lock();
-            if let Some(reason) = &*dead {
-                return Err(reason.clone());
-            }
-            self.pending.insert(corr.0, tx);
-        }
-        let sent = {
-            let mut writer = self.writer.lock();
-            // The writer mutex MUST cover the frame write or concurrent
-            // requests interleave half-frames; the socket write timeout
-            // set at connect bounds how long a stalled peer can hold it.
-            // lint-allow(lock-across-blocking): serialised frame write
-            write_frame(&mut *writer, &build(corr))
-        };
-        if let Err(e) = sent {
-            self.pending.remove(corr.0);
-            let reason = format!("send: {e}");
-            self.poison(reason.clone());
-            return Err(reason);
-        }
-        match rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                self.pending.remove(corr.0);
-                Err(format!(
-                    "no reply from peer `{}` within {timeout:?}",
-                    self.domain()
-                ))
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(self
-                .dead
-                .lock()
-                .clone()
-                .unwrap_or_else(|| "peer connection closed".to_string())),
-        }
-    }
-
-    /// Closes the transport and joins the reader thread.  Idempotent.
-    fn shutdown(&self) {
-        self.poison("link disconnected".to_string());
-        {
-            let writer = self.writer.lock();
-            let _ = writer.shutdown(std::net::Shutdown::Both);
-        }
-        let reader = self.reader.lock().take();
-        if let Some(reader) = reader {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// What a fresh peer handshake yields: the multiplexed connection, the
-/// pools the peer advertised, and the gossip deltas it piggybacked on
-/// its `PoolsSynced` reply.
-type PeerHandshake = (Arc<MuxConn>, Vec<String>, Vec<AdvertDelta>);
-
 /// A pooled connection to one peer daemon: lazily established, reused
-/// (concurrently — see [`MuxConn`]) across delegations, re-established
-/// after failures.
+/// concurrently across delegations (a [`CorrConn`] routes every reply to
+/// the request that sent it by [`RequestId`], so chains and releases to
+/// the same peer never serialise behind each other's WAN round trips),
+/// and re-established after failures.  It is still one TCP session per
+/// peer, so every allocation a peer granted this daemon stays leased to
+/// that same connection.
 struct PeerLink {
     addr: StageAddress,
     /// Stable index of this link, used as the instance number for the
     /// peer's advertised pool records (unique per manager in the peer
     /// directory).
     index: u32,
-    conn: Mutex<Option<Arc<MuxConn>>>,
-    /// Last domain name this link handshook as (kept after the connection
-    /// dies).  Read instead of locking `conn` wherever only the identity
-    /// is needed — in particular by `candidates()`, which must never wait
-    /// on a link that is mid-redial.
+    conn: Mutex<Option<Arc<CorrConn>>>,
+    /// The domain name this link last handshook as, learned from the
+    /// peer's `PoolsSynced` reply (kept after the connection dies).  Read
+    /// instead of locking `conn` wherever only the identity is needed —
+    /// in particular by `candidates()`, which must never wait on a link
+    /// that is mid-redial.
     last_domain: Mutex<Option<String>>,
     /// Per-peer redial backoff: when the last connect attempt failed and
     /// how long to wait before the next one (exponential under
@@ -446,104 +322,74 @@ impl PeerLink {
         }
     }
 
-    /// Dials the peer, performs the hello and pool-sync handshakes, and
-    /// starts the reader thread that routes replies by correlation id.
+    /// The peer's domain name as of the last handshake (empty before the
+    /// first one).
+    fn domain(&self) -> String {
+        self.last_domain.lock().clone().unwrap_or_default()
+    }
+
+    /// One request/response exchange over `conn`, failing after
+    /// [`PEER_REPLY_TIMEOUT`].  A failure drops the connection — unless
+    /// it was a frame refused before sending ([`AllocationError::Protocol`]),
+    /// which fails only this request.
+    fn request(
+        &self,
+        conn: &Arc<CorrConn>,
+        build: impl FnOnce(RequestId) -> ClientFrame,
+    ) -> Result<ServerFrame, AllocationError> {
+        let reply = conn.request(Some(PEER_REPLY_TIMEOUT), build);
+        if matches!(&reply, Err(e) if !matches!(e, AllocationError::Protocol(_))) {
+            self.retire(conn);
+        }
+        reply
+    }
+
+    /// Dials the peer (hello handshake in [`CorrConn::connect`]) and
+    /// performs the pool-sync handshake.  The `have` vector tells the peer
+    /// what this daemon already holds, so its `PoolsSynced` reply
+    /// piggybacks exactly the missing deltas.
     fn connect(
         &self,
         my_domain: &str,
         my_pools: Vec<String>,
         my_have: Vec<AdvertVersion>,
-    ) -> Result<PeerHandshake, String> {
-        let mut addrs = (self.addr.host.as_str(), self.addr.port)
-            .to_socket_addrs()
-            .map_err(|e| format!("resolve {}: {e}", self.addr))?;
-        let sock = addrs
-            .next()
-            .ok_or_else(|| format!("resolve {}: no addresses", self.addr))?;
-        let mut stream = TcpStream::connect_timeout(&sock, PEER_CONNECT_TIMEOUT)
-            .map_err(|e| format!("connect {}: {e}", self.addr))?;
-        let _ = stream.set_nodelay(true);
-        // The handshake is the one serial exchange on the stream, bounded
-        // by a read timeout; afterwards the reader blocks indefinitely
-        // (per-request deadlines live in `MuxConn::request`).  Sends stay
-        // deadline-bounded for the connection's whole life: a stalled
-        // peer with a full receive buffer would otherwise block
-        // `write_frame` forever *while holding the writer mutex*, wedging
-        // every other request on the link — and the `shutdown` that would
-        // tear it down.  A timed-out (possibly partial) send poisons the
-        // connection, which is dropped, so no desynchronised stream is
-        // ever reused.
-        let _ = stream.set_write_timeout(Some(PEER_REPLY_TIMEOUT));
-        let _ = stream.set_read_timeout(Some(PEER_REPLY_TIMEOUT));
-        // Same version floor as every other client of this build; the
-        // federation vocabulary exists since v2, which MIN_SUPPORTED_VERSION
-        // already guarantees.
-        write_frame(
-            &mut stream,
-            &ClientFrame::Hello {
-                min_version: MIN_SUPPORTED_VERSION,
-                max_version: PROTOCOL_VERSION,
-            },
-        )
-        .map_err(|e| format!("hello: {e}"))?;
-        match read_server_frame(&mut stream) {
-            Ok(Some(ServerFrame::HelloAck { version })) if version >= MIN_SUPPORTED_VERSION => {}
-            Ok(Some(ServerFrame::HelloAck { version })) => {
-                return Err(format!("peer only speaks protocol v{version}"))
-            }
-            Ok(Some(ServerFrame::HelloReject { message })) => {
-                return Err(format!("peer rejected the connection: {message}"))
-            }
-            other => return Err(format!("handshake failed: {other:?}")),
-        }
-        let _ = stream.set_read_timeout(None);
-        let read_stream = stream
-            .try_clone()
-            .map_err(|e| format!("clone stream: {e}"))?;
-        let conn = Arc::new(MuxConn {
-            domain: Mutex::new(String::new()),
-            writer: Mutex::new(stream),
-            pending: crate::shard::ShardedMap::new(crate::shard::DEFAULT_SHARDS),
-            dead: Mutex::new(None),
-            corr: AtomicU64::new(0),
-            reader: Mutex::new(None),
-        });
-        let reader_conn = conn.clone();
-        let reader = std::thread::spawn(move || run_link_reader(reader_conn, read_stream));
-        *conn.reader.lock() = Some(reader);
-
-        // Pool-sync rides the mux like every later request.  The `have`
-        // vector tells the peer what this daemon already holds, so its
-        // `PoolsSynced` reply piggybacks exactly the missing deltas.
-        let reply = conn.request(|corr| ClientFrame::SyncPools {
+    ) -> Result<(Arc<CorrConn>, PeerAdvertisement), AllocationError> {
+        // Every failure here is a link failure (`Network`), never to be
+        // mistaken for a request-local refusal.
+        let link_failure = |e| match e {
+            AllocationError::Protocol(reason) => AllocationError::Network(reason),
+            e => e,
+        };
+        let conn = CorrConn::connect(&self.addr, PEER_REPLY_TIMEOUT).map_err(link_failure)?;
+        let reply = conn.request(Some(PEER_REPLY_TIMEOUT), |corr| ClientFrame::SyncPools {
             corr,
             domain: my_domain.to_string(),
             pools: my_pools,
             have: my_have,
         });
-        match reply {
+        let refused = match reply {
             Ok(ServerFrame::PoolsSynced {
                 domain,
                 pools,
                 deltas,
                 ..
             }) => {
-                *conn.domain.lock() = domain;
-                Ok((conn, pools, deltas))
+                let advertisement = PeerAdvertisement {
+                    domain,
+                    pools,
+                    previous_domain: None,
+                    deltas,
+                };
+                return Ok((conn, advertisement));
             }
             Ok(ServerFrame::Error { error, .. }) => {
-                conn.shutdown();
-                Err(format!("pool sync refused: {error}"))
+                AllocationError::Network(format!("pool sync refused: {error}"))
             }
-            Ok(other) => {
-                conn.shutdown();
-                Err(format!("expected PoolsSynced, got {other:?}"))
-            }
-            Err(e) => {
-                conn.shutdown();
-                Err(e)
-            }
-        }
+            Ok(other) => AllocationError::Network(format!("expected PoolsSynced, got {other:?}")),
+            Err(e) => link_failure(e),
+        };
+        conn.shutdown();
+        Err(refused)
     }
 
     /// Returns a live connection, dialing (with redial backoff) when none
@@ -554,10 +400,10 @@ impl PeerLink {
         &self,
         my_domain: &str,
         my_sync: impl FnOnce() -> (Vec<String>, Vec<AdvertVersion>),
-    ) -> Result<(Arc<MuxConn>, Option<PeerAdvertisement>), String> {
+    ) -> Result<(Arc<CorrConn>, Option<PeerAdvertisement>), AllocationError> {
         let mut slot = self.conn.lock();
         if let Some(conn) = &*slot {
-            if conn.dead.lock().is_none() {
+            if !conn.is_dead() {
                 return Ok((conn.clone(), None));
             }
             // The reader declared it dead since last use: retire it
@@ -570,13 +416,13 @@ impl PeerLink {
         // timeout per attempt against a dead peer — and the window grows
         // per consecutive failure, so a long-dead peer costs ever less.
         if !self.redial.lock().permits(std::time::Instant::now()) {
-            return Err(format!(
+            return Err(AllocationError::Network(format!(
                 "peer {} is in redial backoff after a failed connect",
                 self.addr
-            ));
+            )));
         }
         let (pools, have) = my_sync();
-        let (conn, pools, deltas) = match self.connect(my_domain, pools, have) {
+        let (conn, mut fresh) = match self.connect(my_domain, pools, have) {
             Ok(established) => established,
             Err(e) => {
                 self.redial.lock().note_failure(std::time::Instant::now());
@@ -588,42 +434,27 @@ impl PeerLink {
         // restarted with different pools (or a different domain name)
         // must replace its stale directory records, not be routed to
         // from them.
-        let learned = conn.domain();
-        let previous_domain = self.last_domain.lock().replace(learned.clone());
-        let fresh = Some(PeerAdvertisement {
-            domain: learned,
-            pools,
-            previous_domain,
-            deltas,
-        });
+        fresh.previous_domain = self.last_domain.lock().replace(fresh.domain.clone());
         *slot = Some(conn.clone());
-        Ok((conn, fresh))
+        Ok((conn, Some(fresh)))
     }
 
     /// Runs `f` over a live connection (establishing one first if
     /// necessary).  Returns the freshly learned advertisement when a new
     /// connection was made, so the caller can refresh its peer directory.
-    /// Any failure drops the connection — unless a concurrent request
-    /// already replaced it with a newer one, which is left alone.
     fn with_conn<R>(
         &self,
         my_domain: &str,
         my_sync: impl FnOnce() -> (Vec<String>, Vec<AdvertVersion>),
-        f: impl FnOnce(&MuxConn) -> Result<R, String>,
-    ) -> Result<(R, Option<PeerAdvertisement>), String> {
+        f: impl FnOnce(&Arc<CorrConn>) -> Result<R, AllocationError>,
+    ) -> Result<(R, Option<PeerAdvertisement>), AllocationError> {
         let (conn, fresh) = self.ensure_conn(my_domain, my_sync)?;
-        match f(&conn) {
-            Ok(value) => Ok((value, fresh)),
-            Err(e) => {
-                self.retire(&conn);
-                Err(e)
-            }
-        }
+        Ok((f(&conn)?, fresh))
     }
 
     /// Drops `failed` if it is still the pooled connection; a newer
     /// connection another thread already dialed is kept.
-    fn retire(&self, failed: &Arc<MuxConn>) {
+    fn retire(&self, failed: &Arc<CorrConn>) {
         let taken = {
             let mut slot = self.conn.lock();
             match &*slot {
@@ -644,49 +475,6 @@ impl PeerLink {
         let taken = self.conn.lock().take();
         if let Some(conn) = taken {
             conn.shutdown();
-        }
-    }
-}
-
-/// The per-link reader: routes every reply frame to the request whose
-/// correlation id it echoes, and poisons the connection on transport
-/// death so in-flight and future requests fail fast.
-fn run_link_reader(conn: Arc<MuxConn>, mut stream: TcpStream) {
-    loop {
-        match read_server_frame(&mut stream) {
-            Ok(Some(frame)) => match crate::remote::corr_of(&frame) {
-                Some(corr) => {
-                    let sender = conn.pending.remove(corr.0);
-                    if let Some(sender) = sender {
-                        let _ = sender.send(frame);
-                    } else if corr.0 >= conn.corr.load(Ordering::Relaxed) {
-                        // A correlation id this link never issued: the
-                        // peer is desynchronised or hostile — fail the
-                        // whole link NOW rather than letting every
-                        // in-flight request ride out its full reply
-                        // timeout (the fast-fail the serial link had).
-                        conn.poison(format!(
-                            "reply out of correlation (id {} never issued): {frame:?}",
-                            corr.0
-                        ));
-                        break;
-                    }
-                    // An *issued* id with no waiter lost its race with a
-                    // request timeout: dropped silently.
-                }
-                None => {
-                    conn.poison("unexpected handshake frame on an established link".to_string());
-                    break;
-                }
-            },
-            Ok(None) => {
-                conn.poison("peer closed the connection".to_string());
-                break;
-            }
-            Err(e) => {
-                conn.poison(e.to_string());
-                break;
-            }
         }
     }
 }
@@ -1000,19 +788,16 @@ impl FederatedBackend {
     /// deltas and version vector, apply what the ack carries back.
     /// Dials the link if it is down (subject to the redial backoff), so
     /// the periodic tick also heals the topology.
-    fn gossip_exchange(&self, link: &PeerLink) -> Result<(), String> {
+    fn gossip_exchange(&self, link: &PeerLink) -> Result<(), AllocationError> {
         let (conn, fresh) = link.ensure_conn(&self.config.domain, || self.sync_payload())?;
         self.note_fresh_advertisement(link, fresh);
-        let peer = conn.domain();
-        if peer.is_empty() {
-            return Err("peer domain not yet known".to_string());
-        }
+        let peer = link.domain();
         self.refresh_gossip();
         let vector = self.gossip.version_vector();
         let deltas = self.gossip.deltas_for_peer(&peer);
         let have = vector.clone();
         let my_domain = self.config.domain.clone();
-        let reply = conn.request(move |corr| ClientFrame::AdvertDelta {
+        let reply = link.request(&conn, move |corr| ClientFrame::AdvertDelta {
             corr,
             domain: my_domain,
             deltas,
@@ -1028,12 +813,11 @@ impl FederatedBackend {
             }
             Ok(other) => {
                 link.retire(&conn);
-                Err(format!("expected AdvertAck, got {other:?}"))
+                Err(AllocationError::Protocol(format!(
+                    "expected AdvertAck, got {other:?}"
+                )))
             }
-            Err(e) => {
-                link.retire(&conn);
-                Err(e)
-            }
+            Err(e) => Err(e),
         }
     }
 
@@ -1072,24 +856,16 @@ impl FederatedBackend {
             let Some(conn) = link.conn.lock().clone() else {
                 continue;
             };
-            let already_dead = conn.dead.lock().is_some();
-            let healthy = !already_dead
+            let healthy = !conn.is_dead()
                 && matches!(
-                    conn.request_deadline(PEER_PROBE_TIMEOUT, |corr| ClientFrame::Stats { corr }),
+                    conn.request(Some(PEER_PROBE_TIMEOUT), |corr| ClientFrame::Stats { corr }),
                     Ok(ServerFrame::StatsReply { .. })
                 );
             if healthy {
                 continue;
             }
             link.retire(&conn);
-            let domain = {
-                let name = conn.domain();
-                if name.is_empty() {
-                    link.last_domain.lock().clone().unwrap_or_default()
-                } else {
-                    name
-                }
-            };
+            let domain = link.domain();
             if !domain.is_empty() {
                 self.peer_failed(&domain);
             }
@@ -1324,20 +1100,13 @@ impl PeerDelegator for FederatedBackend {
             let known = link.last_domain.lock().clone();
             let domain = match known {
                 Some(domain) => domain,
-                None => {
-                    let ensured = link.with_conn(
-                        &self.config.domain,
-                        || self.sync_payload(),
-                        |conn| Ok(conn.domain()),
-                    );
-                    match ensured {
-                        Ok((domain, fresh)) => {
-                            self.note_fresh_advertisement(link, fresh);
-                            domain
-                        }
-                        Err(_) => continue,
+                None => match link.ensure_conn(&self.config.domain, || self.sync_payload()) {
+                    Ok((_, fresh)) => {
+                        self.note_fresh_advertisement(link, fresh);
+                        link.domain()
                     }
-                }
+                    Err(_) => continue,
+                },
             };
             let advertises_wanted = wanted.iter().any(|pool| {
                 self.peer_directory
@@ -1387,7 +1156,7 @@ impl PeerDelegator for FederatedBackend {
             &self.config.domain,
             || self.sync_payload(),
             |conn| {
-                conn.request(|corr| ClientFrame::Delegate {
+                link.request(conn, |corr| ClientFrame::Delegate {
                     corr,
                     query: query.to_string(),
                     ttl,
@@ -1395,9 +1164,11 @@ impl PeerDelegator for FederatedBackend {
                 })
             },
         );
-        let (reply, fresh) = sent.map_err(|reason| PeerUnavailable {
-            transport: true,
-            reason,
+        // A frame refused before sending failed this request only; the
+        // link stays up.
+        let (reply, fresh) = sent.map_err(|e| PeerUnavailable {
+            transport: !matches!(e, AllocationError::Protocol(_)),
+            reason: e.to_string(),
         })?;
         // A reconnect mid-delegation re-learns the peer's advertisement.
         self.note_fresh_advertisement(link, fresh);
@@ -1568,7 +1339,7 @@ impl ResourceManager for FederatedBackend {
             &self.config.domain,
             || self.sync_payload(),
             |conn| {
-                conn.request(|corr| ClientFrame::Release {
+                link.request(conn, |corr| ClientFrame::Release {
                     corr,
                     allocation: allocation.clone(),
                 })
@@ -1591,6 +1362,8 @@ impl ResourceManager for FederatedBackend {
             Ok((other, _)) => Err(AllocationError::Protocol(format!(
                 "expected Released, got {other:?}"
             ))),
+            // Refused before sending: the link and the lease mapping stay.
+            Err(error @ AllocationError::Protocol(_)) => Err(error),
             // The peer died holding the lease: its session teardown hands
             // the allocation back on that side, so the release is done as
             // far as this daemon can tell.
@@ -1747,5 +1520,61 @@ mod tests {
             backoff.wait, PEER_REDIAL_BACKOFF,
             "and the wait restarts at base"
         );
+    }
+
+    #[test]
+    fn a_reply_with_a_never_issued_correlation_id_fails_the_peer_link_promptly() {
+        use actyp_proto::{read_client_frame, write_frame};
+
+        // A fake peer completes both handshakes, then answers a Delegate
+        // with a correlation id the link never issued.  The delegation
+        // must fail at once — not after PEER_REPLY_TIMEOUT — and the
+        // desynchronised link must be dropped.
+        let (addr, fake) = crate::conn::fake_daemon(|conn| {
+            let Some(ClientFrame::SyncPools { corr, .. }) = read_client_frame(conn).unwrap() else {
+                panic!("expected SyncPools");
+            };
+            let synced = ServerFrame::PoolsSynced {
+                corr,
+                domain: "upc".to_string(),
+                pools: Vec::new(),
+                deltas: Vec::new(),
+            };
+            write_frame(conn, &synced).unwrap();
+            let Some(ClientFrame::Delegate { corr, .. }) = read_client_frame(conn).unwrap() else {
+                panic!("expected Delegate");
+            };
+            let unissued = RequestId(corr.0 + 1_000);
+            write_frame(conn, &ServerFrame::Ack { corr: unissued }).unwrap();
+            // Hold the socket open: only the bad id may fail the request.
+            let _ = read_client_frame(conn);
+        });
+        let link = Arc::new(PeerLink::new(addr, 0));
+        let (conn, fresh) = link
+            .ensure_conn("purdue", || (Vec::new(), Vec::new()))
+            .unwrap();
+        assert_eq!(fresh.map(|f| f.domain).as_deref(), Some("upc"));
+        let (tx, rx) = crossbeam::channel::unbounded();
+        std::thread::spawn({
+            let link = link.clone();
+            move || {
+                let reply = link.request(&conn, |corr| ClientFrame::Delegate {
+                    corr,
+                    query: "punch.rsrc.arch = hp\n".to_string(),
+                    ttl: 4,
+                    visited: vec!["purdue".to_string()],
+                });
+                let _ = tx.send(reply);
+            }
+        });
+        let reply = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the request must not wait out the reply timeout");
+        assert!(
+            matches!(&reply, Err(AllocationError::Network(reason)) if reason.contains("never issued")),
+            "{reply:?}"
+        );
+        assert!(link.conn.lock().is_none(), "the link was retired");
+        fake.join().unwrap();
     }
 }

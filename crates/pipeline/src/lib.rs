@@ -33,10 +33,11 @@
 //!   behind the versioned [`actyp_proto`] protocol, and
 //!   [`remote::RemoteBackend`] serves the same client surface across a TCP
 //!   hop, with tickets pipelined on one connection.  Session I/O is event
-//!   driven by default: a fixed pool of I/O threads runs every session as
-//!   a nonblocking state machine over the [`reactor`] (raw epoll/poll
-//!   bindings), with blocking backend calls on shared worker lanes, so
-//!   one daemon holds thousands of mostly-idle sessions cheaply.
+//!   driven: a fixed pool of I/O threads runs every session as a
+//!   nonblocking state machine over the [`reactor`] (raw epoll/poll
+//!   bindings, so the server is unix-only), with blocking backend calls
+//!   on shared worker lanes, so one daemon holds thousands of mostly-idle
+//!   sessions cheaply.
 //!   [`federation`] peers daemons across administrative domains: a query
 //!   the local backend cannot satisfy is delegated over the wire with a
 //!   TTL and visited-domain list — multiplexed per peer link by
@@ -53,6 +54,7 @@
 
 pub mod allocation;
 pub mod api;
+mod conn;
 pub mod directory;
 pub mod engine;
 pub mod federation;
@@ -85,7 +87,7 @@ pub use query_manager::{PoolManagerSelection, QueryManager, ReintegrationPolicy,
 pub use reactor::PollerKind;
 pub use remote::{
     serve, serve_federated, serve_federated_with, serve_with, RemoteBackend, ServerConfig,
-    ServerHandle, SessionMode,
+    ServerHandle,
 };
 pub use resource_pool::ResourcePool;
 pub use scheduler::{ReplicaBias, ScheduleOutcome, Scheduler, SchedulingObjective};

@@ -15,8 +15,7 @@
 //!
 //! [`PollerKind::Auto`] picks epoll on Linux and `poll(2)` elsewhere.  On
 //! non-unix hosts [`PollerKind::create`] reports
-//! [`std::io::ErrorKind::Unsupported`] and the server falls back to the
-//! legacy thread-per-session mode.
+//! [`std::io::ErrorKind::Unsupported`]: the server is unix-only.
 //!
 //! Two more pieces the session engine needs live here because they share
 //! the same raw-binding style and have no other natural home:
@@ -161,8 +160,7 @@ impl std::str::FromStr for PollerKind {
 impl PollerKind {
     /// Builds the chosen poller.  Fails with
     /// [`std::io::ErrorKind::Unsupported`] where the kind (or readiness
-    /// polling at all) is unavailable, letting the caller fall back to
-    /// thread-per-session I/O.
+    /// polling at all) is unavailable.
     pub fn create(self) -> io::Result<Box<dyn Poller>> {
         #[cfg(target_os = "linux")]
         {
@@ -185,7 +183,7 @@ impl PollerKind {
         {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "no readiness poller on this platform; use thread-per-session mode",
+                "no readiness poller on this platform",
             ))
         }
     }
@@ -620,8 +618,7 @@ unsafe impl Sync for Waker {}
 /// The pool is the *cap*: jobs beyond the thread count queue (unbounded —
 /// per-session request caps in the server bound the queue) and run as
 /// workers free up.  A panicking job takes neither the worker nor the pool
-/// down; panics are counted and surfaced by [`WorkerPool::shutdown`], the
-/// same contract the thread-per-session server keeps for its sessions.
+/// down; panics are counted and surfaced by [`WorkerPool::shutdown`].
 pub struct WorkerPool {
     tx: crossbeam::channel::Sender<Job>,
     handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,

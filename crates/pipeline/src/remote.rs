@@ -28,17 +28,17 @@
 //!
 //! ## Session I/O: the reactor
 //!
-//! By default ([`SessionMode::Reactor`]) session I/O is event driven: a
-//! fixed pool of I/O threads ([`ServerConfig::io_threads`]) drives every
-//! session's nonblocking socket through a [`crate::reactor::Poller`]
-//! (epoll on Linux, `poll(2)` elsewhere).  Each session is an explicit
-//! state machine — buffered partial-frame reads, a write queue the I/O
-//! thread flushes as the socket allows (with a high-water mark that stops
-//! *reading* from a client that is not draining its replies), and a
-//! drain-aware close that lets queued replies leave before the socket
-//! shuts.  Blocking backend calls never run on an I/O thread: they are
-//! queued onto one shared, capped [`crate::reactor::WorkerPool`] per lane
-//! ([`ServerConfig::workers`] threads each) —
+//! Session I/O is event driven: a fixed pool of I/O threads
+//! ([`ServerConfig::io_threads`]) drives every session's nonblocking
+//! socket through a [`crate::reactor::Poller`] (epoll on Linux, `poll(2)`
+//! on other unix hosts).  Each session is an explicit state machine —
+//! buffered partial-frame reads, a write queue the I/O thread flushes as
+//! the socket allows (with a high-water mark that stops *reading* from a
+//! client that is not draining its replies), and a drain-aware close that
+//! lets queued replies leave before the socket shuts.  Blocking backend
+//! calls never run on an I/O thread: they are queued onto one shared,
+//! capped [`crate::reactor::WorkerPool`] per lane ([`ServerConfig::workers`]
+//! threads each) —
 //!
 //! * the *submit* lane (submit, batch submit, delegations in), whose
 //!   jobs may block on the live backend's admission window,
@@ -59,19 +59,17 @@
 //! worker lanes + the hosted backend, whether two clients are connected
 //! or two thousand.
 //!
-//! [`SessionMode::ThreadPerSession`] keeps the legacy deployment — one OS
-//! thread per connected session plus a per-request worker thread for every
-//! blocking call — for platforms without a poller and as a baseline the
-//! benches compare against.  Both modes serve the identical protocol and
-//! pass the identical test suite.
+//! The server is unix-only: on a host without a readiness poller the
+//! `serve*` functions fail with [`AllocationError::Network`].
 //!
 //! # Client
 //!
 //! [`RemoteBackend::connect`] performs the protocol's version negotiation
-//! and then implements the whole trait over the socket.  A background
-//! reader thread routes response frames to the requests that sent them, so
-//! any number of client threads (or one thread holding many tickets) share
-//! the connection.
+//! and then implements the whole trait over the socket.  The connection
+//! is a `CorrConn` (`conn.rs`) — the same correlated-connection core
+//! the federation's peer links use — whose reader thread routes response
+//! frames to the requests that sent them, so any number of client threads
+//! (or one thread holding many tickets) share the connection.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -84,82 +82,38 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use actyp_proto::{
-    negotiate, read_client_frame, read_server_frame, write_frame, ClientFrame, ServerFrame,
-    MAX_SEQUENCE_LEN, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    negotiate, write_frame, ClientFrame, ServerFrame, MAX_SEQUENCE_LEN, MIN_SUPPORTED_VERSION,
+    PROTOCOL_VERSION,
 };
 use actyp_query::Query;
 
 use crate::allocation::{Allocation, AllocationError};
 use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
-use crate::message::{RequestId, RequestIdGenerator, StageAddress};
+use crate::conn::CorrConn;
+use crate::message::{RequestId, StageAddress};
 use crate::reactor::PollerKind;
 
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
 
-/// Upper bound on blocking requests (submits/waits) in flight per session;
-/// a request beyond it is answered with an error, so one connection cannot
-/// exhaust the daemon's threads (legacy mode, where each blocking request
-/// is a thread) or flood the shared worker queues (reactor mode, where
-/// each is a queued job).
+/// Upper bound on blocking requests (submits/waits) in flight per session
+/// and lane; a request beyond it is answered with an error, so one
+/// connection cannot flood the shared worker queues.
 const MAX_SESSION_WORKERS: usize = 256;
 
-/// How the daemon drives session I/O.  See the module docs for the full
-/// picture of the two architectures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SessionMode {
-    /// Event-driven sessions: a fixed I/O-thread pool drives nonblocking
-    /// sockets through a readiness poller; blocking backend calls run on
-    /// shared, capped worker lanes.  Thread count is independent of
-    /// session count.  The default.
-    #[default]
-    Reactor,
-    /// Legacy sessions: one OS thread per connection plus a worker thread
-    /// per blocking request.  The fallback where no poller exists, and the
-    /// baseline the benches compare the reactor against.
-    ThreadPerSession,
-}
-
-impl std::fmt::Display for SessionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SessionMode::Reactor => "reactor",
-            SessionMode::ThreadPerSession => "threaded",
-        })
-    }
-}
-
-impl std::str::FromStr for SessionMode {
-    type Err = String;
-
-    fn from_str(raw: &str) -> Result<Self, Self::Err> {
-        match raw {
-            "reactor" => Ok(SessionMode::Reactor),
-            "threaded" => Ok(SessionMode::ThreadPerSession),
-            other => Err(format!(
-                "unknown session mode `{other}` (expected reactor or threaded)"
-            )),
-        }
-    }
-}
-
-/// Server-side knobs: how session I/O is driven and how many threads the
-/// daemon spends on it.  The defaults suit a daemon on a small host; raise
+/// Server-side knobs: how many threads the daemon spends on session I/O.
+/// The defaults suit a daemon on a small host; raise
 /// [`ServerConfig::io_threads`] and [`ServerConfig::workers`] together
 /// with core count and backend latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Session I/O architecture.  [`SessionMode::Reactor`] silently falls
-    /// back to [`SessionMode::ThreadPerSession`] only on platforms with no
-    /// poller at all (non-unix).
-    pub mode: SessionMode,
     /// Reactor I/O threads (clamped to at least 1).  Sessions are
     /// distributed round-robin across them at accept time.
     pub io_threads: usize,
     /// Worker threads *per lane* (submit, redeem and teardown lanes,
     /// clamped to at least 1 each): the cap on concurrently executing
-    /// blocking backend calls in reactor mode.
+    /// blocking backend calls.
     pub workers: usize,
     /// Which readiness poller the I/O threads use.
     pub poller: PollerKind,
@@ -168,24 +122,12 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            mode: SessionMode::default(),
             io_threads: 2,
             workers: 4,
             poller: PollerKind::Auto,
         }
     }
 }
-
-/// How often an idle session checks the daemon's drain flag.  Sessions
-/// block on the socket between frames; without this bound a drain would
-/// wait forever on idle-but-connected clients — in particular the pooled
-/// peer links other federated daemons hold open indefinitely.
-const SESSION_POLL_INTERVAL: Duration = Duration::from_millis(200);
-
-/// Per-read deadline while a started frame is being received.  A client
-/// that begins a frame and then stalls completely would otherwise hold
-/// the session thread (and a drain) hostage with an unbounded read.
-const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 struct ServerShared {
     manager: Box<dyn ResourceManager>,
@@ -195,31 +137,21 @@ struct ServerShared {
     /// peer daemons reach the federation surface the trait does not carry.
     federation: Option<Arc<crate::federation::FederatedBackend>>,
     draining: AtomicBool,
-    wake_addr: SocketAddr,
-    sessions: Mutex<Vec<JoinHandle<()>>>,
-    /// Sessions that panicked and were reaped before [`ServerHandle::join`]
-    /// ran; counted so the panic still surfaces at join time.
-    reaped_panics: AtomicU64,
-    /// Legacy mode's anti-entropy gossip thread (reactor mode drives the
-    /// tick from an I/O thread's timer wheel instead).  Taken at join.
-    gossip: Mutex<Option<JoinHandle<()>>>,
-    /// The reactor session engine, when [`SessionMode::Reactor`] is
-    /// active; `None` in thread-per-session mode.  Taken at join time.
+    /// The reactor session engine.  Taken at join time.
     #[cfg(unix)]
     reactor: Mutex<Option<ReactorEngine>>,
     /// Frames that rode a multi-frame lane batch (one queue send, one
-    /// worker wakeup for the whole batch).  Reactor mode only; overlaid
-    /// on every `Stats` reply.
+    /// worker wakeup for the whole batch); overlaid on every `Stats`
+    /// reply.
     frames_batched: AtomicU64,
     /// Flushes that drained more than one queued frame with a single
-    /// coalesced socket write.  Reactor mode only.
+    /// coalesced socket write.
     writes_coalesced: AtomicU64,
 }
 
 impl ServerShared {
-    /// Flags the drain and wakes everything that could be blocked past it:
-    /// the reactor I/O threads (so idle sessions are closed and settled)
-    /// and the blocking `accept`, poked awake with a dummy connection.
+    /// Flags the drain and wakes the reactor I/O threads, so idle sessions
+    /// are closed and settled and the listener thread stops accepting.
     fn begin_drain(&self) {
         if self.draining.swap(true, Ordering::SeqCst) {
             return;
@@ -230,7 +162,6 @@ impl ServerShared {
                 io.notify.wake();
             }
         }
-        let _ = TcpStream::connect(self.wake_addr);
     }
 }
 
@@ -240,7 +171,6 @@ impl ServerShared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
-    accept: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ServerHandle {
@@ -255,7 +185,7 @@ impl ServerHandle {
         self.shared.begin_drain();
     }
 
-    /// Blocks until the daemon has fully drained (accept loop stopped and
+    /// Blocks until the daemon has fully drained (listener closed and
     /// every session finished — sessions end when their client disconnects
     /// or shuts its session down; during a drain, sessions idle between
     /// frames are ended and settled too, so a daemon with pooled peer
@@ -269,24 +199,10 @@ impl ServerHandle {
     /// together.
     pub fn join(self) -> Result<(), AllocationError> {
         let mut problems: Vec<String> = Vec::new();
-        // The handle slots are taken in their own statements so the
-        // mutexes drop *before* the joins: an `if let` scrutinee's
-        // temporary guard would otherwise be held across the whole join.
-        let accept_handle = self.accept.lock().take();
-        if let Some(handle) = accept_handle {
-            if handle.join().is_err() {
-                problems.push("ypd accept loop panicked".to_string());
-            }
-        }
-        let gossip_handle = self.shared.gossip.lock().take();
-        if let Some(handle) = gossip_handle {
-            if handle.join().is_err() {
-                problems.push("ypd gossip thread panicked".to_string());
-            }
-        }
         // Reactor engine teardown: the I/O threads exit once every session
         // is closed, the per-session teardowns finish settling, and the
-        // worker lanes stop after their queues drain.
+        // worker lanes stop after their queues drain.  The slot is taken
+        // in its own statement so its guard drops before the joins.
         #[cfg(unix)]
         {
             let engine = self.shared.reactor.lock().take();
@@ -305,18 +221,6 @@ impl ServerHandle {
                 }
             }
         }
-        let sessions: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.sessions.lock());
-        let mut panicked = self.shared.reaped_panics.load(Ordering::Relaxed);
-        for session in sessions {
-            if session.join().is_err() {
-                panicked += 1;
-            }
-        }
-        if panicked > 0 {
-            problems.push(format!(
-                "{panicked} ypd session(s) panicked during the daemon's lifetime"
-            ));
-        }
         if let Err(e) = self.shared.manager.shutdown() {
             problems.push(e.to_string());
         }
@@ -329,7 +233,7 @@ impl ServerHandle {
 }
 
 /// Binds `addr` and serves `manager` over the wire protocol until halted,
-/// with the default [`ServerConfig`] (reactor sessions).
+/// with the default [`ServerConfig`].
 ///
 /// `addr.port == 0` binds an ephemeral port; read it back with
 /// [`ServerHandle::local_addr`].
@@ -340,8 +244,8 @@ pub fn serve(
     serve_inner(manager, None, addr, ServerConfig::default())
 }
 
-/// [`serve`] with explicit server-side knobs (session mode, I/O-thread and
-/// worker-lane sizes, poller choice).
+/// [`serve`] with explicit server-side knobs (I/O-thread and worker-lane
+/// sizes, poller choice).
 pub fn serve_with(
     manager: Box<dyn ResourceManager>,
     addr: &StageAddress,
@@ -376,6 +280,23 @@ pub fn serve_federated_with(
     serve_inner(Box::new(backend.clone()), Some(backend), addr, config)
 }
 
+#[cfg(not(unix))]
+fn serve_inner(
+    _manager: Box<dyn ResourceManager>,
+    _federation: Option<Arc<crate::federation::FederatedBackend>>,
+    addr: &StageAddress,
+    _config: ServerConfig,
+) -> Result<ServerHandle, AllocationError> {
+    Err(AllocationError::Network(format!(
+        "cannot serve {addr}: the ypd server needs a unix readiness poller \
+         (epoll or poll(2)), which this platform lacks"
+    )))
+}
+
+/// Binds the listener and hands it to the reactor: the first I/O thread
+/// polls it as one more readiness source, and the same thread's timer
+/// wheel drives the anti-entropy gossip tick and the peer health probe.
+#[cfg(unix)]
 fn serve_inner(
     manager: Box<dyn ResourceManager>,
     federation: Option<Arc<crate::federation::FederatedBackend>>,
@@ -387,139 +308,20 @@ fn serve_inner(
     let local = listener
         .local_addr()
         .map_err(|e| AllocationError::Network(format!("local_addr: {e}")))?;
-    // The wake connection must reach the listener even when it is bound to
-    // the unspecified address — via the loopback of the same family (an
-    // IPv6-only listener never accepts an IPv4 wake).
-    let wake_addr = if local.ip().is_unspecified() {
-        let loopback: std::net::IpAddr = if local.is_ipv4() {
-            std::net::Ipv4Addr::LOCALHOST.into()
-        } else {
-            std::net::Ipv6Addr::LOCALHOST.into()
-        };
-        SocketAddr::new(loopback, local.port())
-    } else {
-        local
-    };
     let shared = Arc::new(ServerShared {
         manager,
         federation,
         draining: AtomicBool::new(false),
-        wake_addr,
-        sessions: Mutex::new(Vec::new()),
-        reaped_panics: AtomicU64::new(0),
-        gossip: Mutex::new(None),
-        #[cfg(unix)]
         reactor: Mutex::new(None),
         frames_batched: AtomicU64::new(0),
         writes_coalesced: AtomicU64::new(0),
     });
-
-    // Reactor mode: the listener is handed to the engine itself — the
-    // first I/O thread polls it as one more readiness source, so there is
-    // no dedicated accept thread — and the same thread's timer wheel
-    // drives the anti-entropy gossip tick.  Where a poller exists reactor
-    // mode is honoured or fails loudly; a platform with no poller at all
-    // falls back to thread-per-session below.
-    #[cfg(unix)]
-    if config.mode == SessionMode::Reactor {
-        let engine = ReactorEngine::start(&shared, &config, listener)
-            .map_err(|e| AllocationError::Network(format!("reactor setup: {e}")))?;
-        *shared.reactor.lock() = Some(engine);
-        return Ok(ServerHandle {
-            addr: local,
-            shared,
-            accept: Mutex::new(None),
-        });
-    }
-
-    // Legacy mode: the periodic duties (anti-entropy gossip tick, peer
-    // health probe) share one thread, sleeping in short slices so a
-    // drain ends it promptly.  Reactor mode drives both off the listener
-    // thread's timer wheel instead.
-    if let Some(federation) = &shared.federation {
-        let gossip_interval = federation.gossip_interval();
-        let probe_interval = federation.probe_interval();
-        if gossip_interval > Duration::ZERO || probe_interval > Duration::ZERO {
-            let federation = federation.clone();
-            let gossip_shared = shared.clone();
-            let handle = std::thread::Builder::new()
-                .name("ypd-gossip".to_string())
-                .spawn(move || {
-                    let started = std::time::Instant::now();
-                    let mut last_gossip = started;
-                    let mut last_probe = started;
-                    loop {
-                        if gossip_shared.draining.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(50));
-                        if gossip_shared.draining.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let now = std::time::Instant::now();
-                        if gossip_interval > Duration::ZERO
-                            && now.duration_since(last_gossip) >= gossip_interval
-                        {
-                            last_gossip = now;
-                            federation.gossip_tick();
-                        }
-                        if probe_interval > Duration::ZERO
-                            && now.duration_since(last_probe) >= probe_interval
-                        {
-                            last_probe = now;
-                            federation.probe_peers();
-                        }
-                    }
-                })
-                .map_err(|e| AllocationError::Network(format!("gossip thread: {e}")))?;
-            *shared.gossip.lock() = Some(handle);
-        }
-    }
-
-    let accept_shared = shared.clone();
-    let accept = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_shared.draining.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            let session_shared = accept_shared.clone();
-            let handle = std::thread::spawn(move || run_session(session_shared, stream));
-            // Reap finished sessions so a long-lived daemon serving many
-            // short connections does not accumulate handles forever.
-            // The handles are pulled out under the lock but joined after
-            // releasing it — they have already finished, so the joins
-            // cannot block, but teardown also takes this lock and must
-            // never queue behind even a fast join.
-            let mut finished = Vec::new();
-            {
-                let mut sessions = accept_shared.sessions.lock();
-                let mut index = 0;
-                while index < sessions.len() {
-                    if sessions[index].is_finished() {
-                        finished.push(sessions.swap_remove(index));
-                    } else {
-                        index += 1;
-                    }
-                }
-                sessions.push(handle);
-            }
-            // Joining each reaped handle keeps their panics from vanishing.
-            for reaped in finished {
-                if reaped.join().is_err() {
-                    accept_shared.reaped_panics.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    });
-
+    let engine = ReactorEngine::start(&shared, &config, listener)
+        .map_err(|e| AllocationError::Network(format!("reactor setup: {e}")))?;
+    *shared.reactor.lock() = Some(engine);
     Ok(ServerHandle {
         addr: local,
         shared,
-        accept: Mutex::new(Some(accept)),
     })
 }
 
@@ -671,9 +473,9 @@ mod engine {
     }
 
     impl OutQueue {
-        /// Appends one frame (best effort, exactly like the legacy direct
-        /// send: an unencodable frame is dropped, a closed queue swallows
-        /// it) and rings the session's I/O thread.
+        /// Appends one frame (best effort: an unencodable frame is
+        /// dropped, a closed queue swallows it) and rings the session's
+        /// I/O thread.
         pub(super) fn push(&self, frame: &ServerFrame) {
             {
                 let mut buf = self.buf.lock();
@@ -764,9 +566,8 @@ mod engine {
     /// The first I/O thread's extra duty: the daemon's listening socket,
     /// registered with that thread's poller as one more readiness source.
     /// Ready connections are accepted nonblockingly and dealt round robin
-    /// to every I/O thread (itself included) over the same channels the
-    /// old dedicated accept thread used — folding the accept loop into
-    /// the reactor removes one always-blocked thread per daemon.
+    /// to every I/O thread (itself included) over their socket channels,
+    /// so no thread of the daemon sits blocked in `accept`.
     pub(super) struct ListenerRole {
         listener: TcpListener,
         targets: Vec<(Sender<TcpStream>, Arc<IoNotify>)>,
@@ -975,9 +776,8 @@ mod engine {
 
     /// Queues one blocking request on a worker lane's batch, bounded per
     /// session: past [`MAX_SESSION_WORKERS`] in flight on the lane, the
-    /// request is answered with an overload error instead — one
-    /// connection cannot flood the shared queues any more than it could
-    /// spawn unbounded threads in legacy mode.  The per-session counter
+    /// request is answered with an overload error instead, so one
+    /// connection cannot flood the shared queues.  The per-session counter
     /// is claimed here, at decode time, so the cap holds even while the
     /// batch is still being collected.
     fn spawn_job(
@@ -1188,9 +988,7 @@ mod engine {
 
     /// Drains every connection the listener has ready: during a drain
     /// each is refused outright; otherwise it is dealt to the next I/O
-    /// thread round robin and that thread's doorbell rung.  The
-    /// `begin_drain` dummy connection lands here too — accepted, dropped,
-    /// and thereby done waking the poll.
+    /// thread round robin and that thread's doorbell rung.
     fn accept_ready(shared: &Arc<ServerShared>, role: &mut ListenerRole) {
         loop {
             match role.listener.accept() {
@@ -1237,7 +1035,7 @@ mod engine {
         {
             return None;
         }
-        let state = SessionState::new(ReplySink::Queue(queue.clone()));
+        let state = SessionState::new(queue.clone());
         sessions.insert(
             token,
             ReactorSession {
@@ -1379,8 +1177,8 @@ mod engine {
         }
     }
 
-    /// Mirrors the legacy session's frame match, with blocking work queued
-    /// on the worker lanes instead of spawned threads.
+    /// Answers one decoded frame: inline when it cannot block, otherwise
+    /// as a job queued on a worker lane's batch.
     fn dispatch_frame(
         shared: &Arc<ServerShared>,
         pools: &Arc<Pools>,
@@ -1527,8 +1325,7 @@ mod engine {
             ClientFrame::Stats { corr } => {
                 // The backend fills its own counters; the transport
                 // batching counters belong to the daemon and are
-                // overlaid here (zero in thread-per-session mode, which
-                // neither batches decodes nor coalesces flushes).
+                // overlaid here.
                 let mut stats = shared.manager.stats();
                 stats.frames_batched = shared.frames_batched.load(Ordering::Relaxed);
                 stats.writes_coalesced = shared.writes_coalesced.load(Ordering::Relaxed);
@@ -1639,9 +1436,8 @@ mod engine {
             .execute(move || teardown_session(&shared, &state, &queue));
     }
 
-    /// The reactor-mode session teardown — the same interleaved
-    /// settle-and-wait the legacy session runs, with lane job counters in
-    /// place of worker thread handles: settle (freeing window permits a
+    /// The session teardown, an interleaved settle-and-wait over the lane
+    /// job counters: settle (freeing window permits a
     /// blocked submit job may be waiting on), wait for the jobs to finish
     /// (they may issue new tickets), repeat, then sweep the leases.  Seals
     /// the write queue at the end so the I/O thread can complete the
@@ -1659,7 +1455,7 @@ mod engine {
             }
             if std::time::Instant::now() >= deadline {
                 // Leave the stragglers to the worker lanes.  Settlement is
-                // best-effort past this point, exactly as in legacy mode.
+                // best-effort past this point.
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -1746,23 +1542,12 @@ mod engine {
 #[cfg(unix)]
 use engine::{OutQueue, ReactorEngine};
 
-/// Where a session's replies go: straight down the socket (legacy
-/// thread-per-session mode, where blocking in `send` is fine) or into the
-/// session's write queue for its I/O thread to flush (reactor mode, where
-/// nothing on a worker may ever block on a peer's socket).
-enum ReplySink {
-    /// Legacy: a shared handle on the connection, written under a lock.
-    Stream(Mutex<TcpStream>),
-    /// Reactor: the session's write queue.
-    #[cfg(unix)]
-    Queue(Arc<OutQueue>),
-}
-
-/// Per-connection session state: the reply sink, the session-scoped
-/// ticket table mapping wire ticket ids to backend tickets, and the
-/// allocation leases the session currently holds.
+/// Per-connection session state: the session's write queue, the
+/// session-scoped ticket table mapping wire ticket ids to backend tickets,
+/// and the allocation leases the session currently holds.
+#[cfg(unix)]
 struct SessionState {
-    sink: ReplySink,
+    queue: Arc<OutQueue>,
     tickets: Mutex<HashMap<u64, Ticket>>,
     /// Allocations delivered to this client and not yet released, keyed by
     /// access key.  Allocations are *session leases*: whatever is still
@@ -1771,11 +1556,10 @@ struct SessionState {
     /// strand a machine claim.
     leases: Mutex<HashMap<String, Allocation>>,
     next_ticket: AtomicU64,
-    /// Blocking requests in flight on the submit lane (reactor mode) —
-    /// the reactor's equivalent of the legacy per-session worker vectors,
-    /// bounded by [`MAX_SESSION_WORKERS`] and awaited by the teardown.
+    /// Blocking requests in flight on the submit lane, bounded by
+    /// [`MAX_SESSION_WORKERS`] and awaited by the teardown.
     submit_jobs: AtomicUsize,
-    /// Blocking requests in flight on the redeem lane (reactor mode).
+    /// Blocking requests in flight on the redeem lane.
     redeem_jobs: AtomicUsize,
     /// The federation domain the peer on this session advertised (via
     /// `SyncPools` or `AdvertDelta`); `None` on ordinary client sessions.
@@ -1785,10 +1569,11 @@ struct SessionState {
     peer_domain: Mutex<Option<String>>,
 }
 
+#[cfg(unix)]
 impl SessionState {
-    fn new(sink: ReplySink) -> Arc<Self> {
+    fn new(queue: Arc<OutQueue>) -> Arc<Self> {
         Arc::new(SessionState {
-            sink,
+            queue,
             tickets: Mutex::new(HashMap::new()),
             leases: Mutex::new(HashMap::new()),
             next_ticket: AtomicU64::new(0),
@@ -1800,23 +1585,11 @@ impl SessionState {
 
     /// Best-effort reply; a vanished client is detected by the read side.
     fn send(&self, frame: &ServerFrame) {
-        match &self.sink {
-            ReplySink::Stream(writer) => {
-                let mut writer = writer.lock();
-                // Replies from the session thread and its workers
-                // serialise on this mutex — releasing it mid-frame
-                // would interleave bytes.
-                // lint-allow(lock-across-blocking): serialised frame write
-                let _ = write_frame(&mut *writer, frame);
-            }
-            #[cfg(unix)]
-            ReplySink::Queue(queue) => queue.push(frame),
-        }
+        self.queue.push(frame);
     }
 
     /// Blocking requests this session still has in flight on the worker
-    /// lanes (always zero in legacy mode, which tracks thread handles
-    /// instead).
+    /// lanes.
     fn jobs_in_flight(&self) -> usize {
         self.submit_jobs.load(Ordering::Relaxed) + self.redeem_jobs.load(Ordering::Relaxed)
     }
@@ -1827,35 +1600,35 @@ impl SessionState {
         wire_id
     }
 
-    /// Records the leases of a redeemed outcome, then delivers it.  The
-    /// lease is taken *before* the reply leaves, so there is no window in
-    /// which the allocation belongs to nobody.
-    fn deliver_outcome(&self, corr: RequestId, outcome: crate::api::QueryOutcome) {
-        if let Ok(allocations) = &outcome {
+    /// Leases an outcome's allocations to this session.  Called *before*
+    /// the reply leaves, so there is no window in which an allocation
+    /// belongs to nobody.
+    fn lease(&self, outcome: &QueryOutcome) {
+        if let Ok(allocations) = outcome {
             let mut leases = self.leases.lock();
             for allocation in allocations {
                 leases.insert(allocation.access_key.0.clone(), allocation.clone());
             }
         }
+    }
+
+    /// Leases a redeemed outcome, then delivers it.
+    fn deliver_outcome(&self, corr: RequestId, outcome: QueryOutcome) {
+        self.lease(&outcome);
         self.send(&ServerFrame::Outcome { corr, outcome });
     }
 
-    /// Same lease-before-reply discipline for a delegated outcome: the
-    /// allocations are leased to the *peer daemon's* session, so a peer
-    /// that vanishes holding them strands nothing here.
+    /// Leases a delegated outcome — to the *peer daemon's* session, so a
+    /// peer that vanishes holding it strands nothing here — then delivers
+    /// it.
     fn deliver_delegated(
         &self,
         corr: RequestId,
-        outcome: crate::api::QueryOutcome,
+        outcome: QueryOutcome,
         state: crate::message::RoutingState,
         deltas: Vec<actyp_proto::AdvertDelta>,
     ) {
-        if let Ok(allocations) = &outcome {
-            let mut leases = self.leases.lock();
-            for allocation in allocations {
-                leases.insert(allocation.access_key.0.clone(), allocation.clone());
-            }
-        }
+        self.lease(&outcome);
         self.send(&ServerFrame::Delegated {
             corr,
             outcome,
@@ -1872,6 +1645,7 @@ impl SessionState {
 /// under the old domain — directory records, gossip origin log, learned
 /// routes — is retired atomically, instead of lingering as a routable
 /// ghost beside the new name.
+#[cfg(unix)]
 fn note_peer_session_domain(shared: &ServerShared, state: &SessionState, domain: &str) {
     let previous = state.peer_domain.lock().replace(domain.to_string());
     if let Some(previous) = previous {
@@ -1883,375 +1657,8 @@ fn note_peer_session_domain(shared: &ServerShared, state: &SessionState, domain:
     }
 }
 
-fn run_session(shared: Arc<ServerShared>, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-
-    // --- Version negotiation: the first frame must be a Hello. ---
-    let hello = match read_client_frame(&mut stream) {
-        Ok(Some(frame)) => frame,
-        _ => return,
-    };
-    let reply_stream = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let state = SessionState::new(ReplySink::Stream(Mutex::new(reply_stream)));
-    match hello {
-        ClientFrame::Hello {
-            min_version,
-            max_version,
-        } => match negotiate(min_version, max_version) {
-            Some(version) => state.send(&ServerFrame::HelloAck { version }),
-            None => {
-                state.send(&ServerFrame::HelloReject {
-                    message: format!(
-                        "no common protocol version: client speaks {min_version}..={max_version}, \
-                         server speaks {MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION}"
-                    ),
-                });
-                return;
-            }
-        },
-        _ => {
-            state.send(&ServerFrame::HelloReject {
-                message: "the first frame must be Hello".to_string(),
-            });
-            return;
-        }
-    }
-
-    // --- Serve the session (until clean disconnect, transport error or
-    // garbage stops the read loop). ---
-    //
-    // Submission workers (which can block on the live backend's admission
-    // window) are counted and capped separately from redemption workers:
-    // a client at the submission cap must still be able to Wait, because
-    // redeeming tickets is exactly how it frees the window and gets its
-    // submissions unstuck.  Capping waits cannot livelock in return — a
-    // blocked wait resolves when the pipeline answers, independent of any
-    // further client action.
-    let mut submit_workers: Vec<JoinHandle<()>> = Vec::new();
-    let mut wait_workers: Vec<JoinHandle<()>> = Vec::new();
-    let _ = stream.set_read_timeout(Some(SESSION_POLL_INTERVAL));
-    loop {
-        // Wait (bounded) for the next frame to *start*, so even an idle
-        // session observes the drain flag and ends: a draining daemon
-        // settles idle sessions' tickets and leases instead of waiting
-        // forever for clients — or peer daemons holding pooled links —
-        // to hang up.  Once the first byte is visible, the frame is read
-        // whole (under a generous per-read deadline, so a sender that
-        // stalls mid-frame ends the session instead of wedging it), which
-        // keeps a frame arriving in pieces from desynchronising the
-        // stream.
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-        let _ = stream.set_read_timeout(Some(FRAME_READ_TIMEOUT));
-        let next = read_client_frame(&mut stream);
-        let _ = stream.set_read_timeout(Some(SESSION_POLL_INTERVAL));
-        let Ok(Some(frame)) = next else { break };
-        // Reap finished workers as we go so the vectors track only live
-        // threads.
-        submit_workers.retain(|worker| !worker.is_finished());
-        wait_workers.retain(|worker| !worker.is_finished());
-        match frame {
-            ClientFrame::Hello { .. } => {
-                state.send(&ServerFrame::HelloReject {
-                    message: "duplicate Hello".to_string(),
-                });
-                break;
-            }
-            // Submit may block on the live backend's admission window and
-            // wait blocks until the outcome is ready, so both run on worker
-            // threads: the session keeps reading frames meanwhile, which is
-            // what lets one connection keep many requests in flight.
-            ClientFrame::Submit { corr, query } => {
-                if submit_workers.len() >= MAX_SESSION_WORKERS {
-                    state.send(&session_overloaded(corr));
-                    continue;
-                }
-                let shared = shared.clone();
-                let state = state.clone();
-                submit_workers.push(std::thread::spawn(move || {
-                    handle_submit(&shared, &state, corr, &query)
-                }));
-            }
-            ClientFrame::SubmitBatch { corr, queries } => {
-                if submit_workers.len() >= MAX_SESSION_WORKERS {
-                    state.send(&session_overloaded(corr));
-                    continue;
-                }
-                let shared = shared.clone();
-                let state = state.clone();
-                submit_workers.push(std::thread::spawn(move || {
-                    handle_submit_batch(&shared, &state, corr, &queries)
-                }));
-            }
-            ClientFrame::Wait {
-                corr,
-                ticket,
-                deadline_ms,
-            } => {
-                // Unknown ids are answered inline — no thread for a frame
-                // that cannot block (and no thread-flood from bogus ids);
-                // the worker's own atomic claim still decides races.
-                if !state.tickets.lock().contains_key(&ticket) {
-                    state.send(&ServerFrame::Error {
-                        corr,
-                        error: AllocationError::UnknownTicket,
-                    });
-                    continue;
-                }
-                if wait_workers.len() >= MAX_SESSION_WORKERS {
-                    state.send(&session_overloaded(corr));
-                    continue;
-                }
-                let shared = shared.clone();
-                let state = state.clone();
-                wait_workers.push(std::thread::spawn(move || {
-                    handle_wait(&shared, &state, corr, ticket, deadline_ms)
-                }));
-            }
-            ClientFrame::Poll { corr, ticket } => {
-                // The ticket is read, not claimed: concurrent polls of the
-                // same ticket race inside the backend, where the loser
-                // sees UnknownTicket — the same contract as concurrent
-                // in-process redemption.  The session table lock is NOT
-                // held across try_poll, which on a federated backend can
-                // settle a failure through the WAN — and the lookup runs
-                // in its own statement so the guard also drops before the
-                // error reply (a `match` scrutinee temporary would hold
-                // it through every arm).
-                let looked_up = state.tickets.lock().get(&ticket).copied();
-                let backend_ticket = match looked_up {
-                    None => {
-                        state.send(&ServerFrame::Error {
-                            corr,
-                            error: AllocationError::UnknownTicket,
-                        });
-                        continue;
-                    }
-                    Some(backend_ticket) => backend_ticket,
-                };
-                let poll = {
-                    let shared = shared.clone();
-                    let state = state.clone();
-                    move || match shared.manager.try_poll(backend_ticket) {
-                        None => state.send(&ServerFrame::Pending { corr }),
-                        Some(outcome) => {
-                            state.tickets.lock().remove(&ticket);
-                            state.deliver_outcome(corr, outcome);
-                        }
-                    }
-                };
-                // On a federated daemon a poll can block on peer I/O, so
-                // it runs on a worker like Wait does; in-process backends
-                // answer inline.
-                if shared.federation.is_some() {
-                    if wait_workers.len() >= MAX_SESSION_WORKERS {
-                        state.send(&session_overloaded(corr));
-                        continue;
-                    }
-                    wait_workers.push(std::thread::spawn(poll));
-                } else {
-                    poll();
-                }
-            }
-            ClientFrame::Release { corr, allocation } => {
-                let release = {
-                    let shared = shared.clone();
-                    let state = state.clone();
-                    move || match shared.manager.release(&allocation) {
-                        Ok(()) => {
-                            state.leases.lock().remove(&allocation.access_key.0);
-                            state.send(&ServerFrame::Released { corr });
-                        }
-                        Err(error) => state.send(&ServerFrame::Error { corr, error }),
-                    }
-                };
-                // Releasing a delegated allocation crosses the wire to the
-                // owning domain: a worker keeps the frame loop responsive.
-                if shared.federation.is_some() {
-                    if submit_workers.len() >= MAX_SESSION_WORKERS {
-                        state.send(&session_overloaded(corr));
-                        continue;
-                    }
-                    submit_workers.push(std::thread::spawn(release));
-                } else {
-                    release();
-                }
-            }
-            ClientFrame::Stats { corr } => {
-                // The backend fills its own counters; the transport
-                // batching counters belong to the daemon and are
-                // overlaid here (zero in thread-per-session mode, which
-                // neither batches decodes nor coalesces flushes).
-                let mut stats = shared.manager.stats();
-                stats.frames_batched = shared.frames_batched.load(Ordering::Relaxed);
-                stats.writes_coalesced = shared.writes_coalesced.load(Ordering::Relaxed);
-                state.send(&ServerFrame::StatsReply { corr, stats });
-            }
-            ClientFrame::Shutdown { corr } => {
-                state.send(&ServerFrame::Ack { corr });
-                break;
-            }
-            ClientFrame::Halt { corr } => {
-                state.send(&ServerFrame::Ack { corr });
-                shared.begin_drain();
-                break;
-            }
-            // A peer daemon delegating a query here.  Runs on a submit
-            // worker: resolving it blocks on the local backend and may hop
-            // onward to further peers.
-            ClientFrame::Delegate {
-                corr,
-                query,
-                ttl,
-                visited,
-            } => {
-                let Some(federation) = shared.federation.clone() else {
-                    state.send(&ServerFrame::Error {
-                        corr,
-                        error: AllocationError::Protocol(
-                            "this daemon is not federated (no --domain/--peer)".to_string(),
-                        ),
-                    });
-                    continue;
-                };
-                if submit_workers.len() >= MAX_SESSION_WORKERS {
-                    state.send(&session_overloaded(corr));
-                    continue;
-                }
-                let state = state.clone();
-                submit_workers.push(std::thread::spawn(move || {
-                    let (outcome, routing) = federation.handle_delegate(&query, ttl, visited);
-                    // Piggyback unacknowledged gossip on the reply the
-                    // delegating peer is already waiting for.
-                    let deltas = match state.peer_domain.lock().clone() {
-                        Some(peer) => federation.piggyback_deltas(&peer),
-                        None => Vec::new(),
-                    };
-                    state.deliver_delegated(corr, outcome, routing, deltas);
-                }));
-            }
-            // A peer daemon advertising its domain and pool names; answer
-            // with ours.  Inline: no blocking work.
-            ClientFrame::SyncPools {
-                corr,
-                domain,
-                pools,
-                have,
-            } => match &shared.federation {
-                None => state.send(&ServerFrame::Error {
-                    corr,
-                    error: AllocationError::Protocol(
-                        "this daemon is not federated (no --domain/--peer)".to_string(),
-                    ),
-                }),
-                Some(federation) => {
-                    // Record the inbound advertisement for observability;
-                    // the address is unknown on an inbound connection, so
-                    // delegation candidates still come from outbound links
-                    // only.
-                    note_peer_session_domain(&shared, &state, &domain);
-                    federation.record_inbound_advertisement(&domain, &pools);
-                    federation.gossip().note_peer_versions(&domain, &have);
-                    federation.refresh_gossip();
-                    let deltas = federation.gossip().deltas_since(&have);
-                    state.send(&ServerFrame::PoolsSynced {
-                        corr,
-                        domain: federation.domain().to_string(),
-                        pools: federation.local_pools(),
-                        deltas,
-                    });
-                }
-            },
-            // An anti-entropy push from a peer daemon.  Inline: applying
-            // deltas is pure in-memory state.
-            ClientFrame::AdvertDelta {
-                corr,
-                domain,
-                deltas,
-                have,
-            } => match &shared.federation {
-                None => state.send(&ServerFrame::Error {
-                    corr,
-                    error: AllocationError::Protocol(
-                        "this daemon is not federated (no --domain/--peer)".to_string(),
-                    ),
-                }),
-                Some(federation) => {
-                    note_peer_session_domain(&shared, &state, &domain);
-                    let reply = federation.handle_advert_delta(&domain, &deltas, &have);
-                    state.send(&ServerFrame::AdvertAck {
-                        corr,
-                        domain: federation.domain().to_string(),
-                        deltas: reply,
-                    });
-                }
-            },
-        }
-    }
-
-    // --- Graceful session teardown. ---
-    //
-    // Settling and joining must interleave: a submit worker can be blocked
-    // on the live backend's admission window, whose permits are held by
-    // the very tickets sitting abandoned in this session's table.  Joining
-    // first would deadlock; settling once would miss the tickets those
-    // unblocked workers issue afterwards.  So: settle (freeing permits),
-    // reap, repeat until every worker finished, then sweep one last time.
-    // A stuck backend cannot wedge the daemon forever — after a generous
-    // deadline the remaining workers are detached instead of joined.
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    loop {
-        settle_abandoned_tickets(&shared, &state, deadline);
-        submit_workers.retain(|worker| !worker.is_finished());
-        wait_workers.retain(|worker| !worker.is_finished());
-        if submit_workers.is_empty() && wait_workers.is_empty() {
-            break;
-        }
-        if std::time::Instant::now() >= deadline {
-            // Leave the stragglers detached.  Settlement is best-effort
-            // past this point: only a backend wedged beyond the whole
-            // teardown budget can still strand a claim.
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // Final sweep for tickets issued by workers that finished after the
-    // last in-loop settle, on a small fresh budget of its own.
-    settle_abandoned_tickets(
-        &shared,
-        &state,
-        std::time::Instant::now() + Duration::from_secs(5),
-    );
-    // Hand back every allocation lease the client still held — including
-    // outcomes whose delivery raced the disconnect (the lease is recorded
-    // before the reply is written, so nothing falls between the cracks).
-    let leaked: Vec<Allocation> = state.leases.lock().drain().map(|(_, a)| a).collect();
-    for allocation in &leaked {
-        let _ = shared.manager.release(allocation);
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
 /// Overload reply for a session that exceeded a blocking-worker cap.
+#[cfg(unix)]
 fn session_overloaded(corr: RequestId) -> ServerFrame {
     ServerFrame::Error {
         corr,
@@ -2264,7 +1671,7 @@ fn session_overloaded(corr: RequestId) -> ServerFrame {
 
 /// Settles every ticket currently abandoned in the session table: awaits
 /// the outcomes (bounded by `deadline`, so a wedged backend cannot hold
-/// the session thread hostage) and hands the allocations straight back, so
+/// the teardown hostage) and hands the allocations straight back, so
 /// no machine claim (or live-backend window permit) leaks past the session.
 /// A ticket whose wait times out goes *back* into the table — still
 /// redeemable inside the backend — so a later settling round can retry it
@@ -2275,6 +1682,7 @@ fn session_overloaded(corr: RequestId) -> ServerFrame {
 /// accepted instead of being shipped across the WAN to peers — nobody is
 /// left to use an allocation a peer would make, and the delegation (plus
 /// its hop-by-hop release) would be pure churn.
+#[cfg(unix)]
 fn settle_abandoned_tickets(
     shared: &ServerShared,
     state: &SessionState,
@@ -2301,6 +1709,7 @@ fn settle_abandoned_tickets(
     }
 }
 
+#[cfg(unix)]
 fn handle_submit(shared: &ServerShared, state: &SessionState, corr: RequestId, query: &str) {
     // The trait's own text path: parse errors map exactly as they would for
     // an in-process client.
@@ -2316,6 +1725,7 @@ fn handle_submit(shared: &ServerShared, state: &SessionState, corr: RequestId, q
     }
 }
 
+#[cfg(unix)]
 fn handle_submit_batch(
     shared: &ServerShared,
     state: &SessionState,
@@ -2347,6 +1757,7 @@ fn handle_submit_batch(
     }
 }
 
+#[cfg(unix)]
 fn handle_wait(
     shared: &ServerShared,
     state: &SessionState,
@@ -2390,61 +1801,6 @@ fn handle_wait(
 // Client
 // ---------------------------------------------------------------------------
 
-/// The correlation id a response frame answers, if any.  Also used by the
-/// federation peer links, whose request/response exchanges ride the same
-/// protocol.
-pub(crate) fn corr_of(frame: &ServerFrame) -> Option<RequestId> {
-    match frame {
-        ServerFrame::HelloAck { .. } | ServerFrame::HelloReject { .. } => None,
-        ServerFrame::Submitted { corr, .. }
-        | ServerFrame::BatchSubmitted { corr, .. }
-        | ServerFrame::Outcome { corr, .. }
-        | ServerFrame::Pending { corr }
-        | ServerFrame::TimedOut { corr }
-        | ServerFrame::Released { corr }
-        | ServerFrame::StatsReply { corr, .. }
-        | ServerFrame::Ack { corr }
-        | ServerFrame::Error { corr, .. }
-        | ServerFrame::Delegated { corr, .. }
-        | ServerFrame::PoolsSynced { corr, .. }
-        | ServerFrame::AdvertAck { corr, .. } => Some(*corr),
-    }
-}
-
-struct ClientShared {
-    /// Requests awaiting their response frame, by correlation id.  The
-    /// reader thread routes each incoming frame to its sender; dropping a
-    /// sender (during connection teardown) wakes the waiting request with
-    /// a receive error.
-    pending: Mutex<HashMap<u64, Sender<ServerFrame>>>,
-    /// Why the connection died, once it has.
-    dead: Mutex<Option<String>>,
-}
-
-impl ClientShared {
-    /// Records the death reason and wakes every in-flight request.
-    ///
-    /// The `dead` lock is held across the `pending` clear so no request can
-    /// slip between the two: [`RemoteBackend::request`] registers itself in
-    /// `pending` while holding `dead`, so it either registers before the
-    /// clear (and is woken by it) or observes the death reason and never
-    /// blocks.
-    fn poison(&self, reason: String) {
-        let mut dead = self.dead.lock();
-        dead.get_or_insert(reason);
-        self.pending.lock().clear();
-    }
-
-    fn death_error(&self) -> AllocationError {
-        AllocationError::Network(
-            self.dead
-                .lock()
-                .clone()
-                .unwrap_or_else(|| "connection closed".to_string()),
-        )
-    }
-}
-
 /// The [`ResourceManager`] surface served by a remote `ypd` daemon over one
 /// TCP connection.
 ///
@@ -2460,143 +1816,27 @@ impl ClientShared {
 /// operation reports [`AllocationError::Network`] /
 /// [`AllocationError::Protocol`] faithfully.
 pub struct RemoteBackend {
-    writer: Mutex<TcpStream>,
-    shared: Arc<ClientShared>,
-    corr: RequestIdGenerator,
+    conn: Arc<CorrConn>,
     brand: u64,
-    version: u16,
-    closed: AtomicBool,
-    reader: Mutex<Option<JoinHandle<()>>>,
 }
+
+/// How long a client connect may wait for the daemon's Hello reply, and
+/// how long one frame write may stall on a daemon that stopped reading
+/// before the connection is declared dead.
+const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 impl RemoteBackend {
     /// Connects to a `ypd` daemon and negotiates the protocol version.
     pub fn connect(addr: &StageAddress) -> Result<Self, AllocationError> {
-        let mut stream = TcpStream::connect((addr.host.as_str(), addr.port))
-            .map_err(|e| AllocationError::Network(format!("connect {addr}: {e}")))?;
-        let _ = stream.set_nodelay(true);
-
-        write_frame(
-            &mut stream,
-            &ClientFrame::Hello {
-                min_version: MIN_SUPPORTED_VERSION,
-                max_version: PROTOCOL_VERSION,
-            },
-        )
-        .map_err(|e| AllocationError::Network(format!("hello: {e}")))?;
-        let version = match read_server_frame(&mut stream) {
-            Ok(Some(ServerFrame::HelloAck { version })) => version,
-            Ok(Some(ServerFrame::HelloReject { message })) => {
-                return Err(AllocationError::Protocol(format!(
-                    "server rejected the connection: {message}"
-                )))
-            }
-            Ok(Some(other)) => {
-                return Err(AllocationError::Protocol(format!(
-                    "expected HelloAck, got {other:?}"
-                )))
-            }
-            Ok(None) => {
-                return Err(AllocationError::Network(
-                    "server closed the connection during the handshake".to_string(),
-                ))
-            }
-            Err(e) => return Err(AllocationError::Network(format!("handshake: {e}"))),
-        };
-
-        let shared = Arc::new(ClientShared {
-            pending: Mutex::new(HashMap::new()),
-            dead: Mutex::new(None),
-        });
-        let mut read_stream = stream
-            .try_clone()
-            .map_err(|e| AllocationError::Network(format!("clone stream: {e}")))?;
-        let reader_shared = shared.clone();
-        let reader = std::thread::spawn(move || loop {
-            match read_server_frame(&mut read_stream) {
-                Ok(Some(frame)) => match corr_of(&frame) {
-                    Some(corr) => {
-                        let sender = reader_shared.pending.lock().remove(&corr.0);
-                        if let Some(sender) = sender {
-                            let _ = sender.send(frame);
-                        }
-                    }
-                    None => {
-                        reader_shared
-                            .poison("unexpected handshake frame after connect".to_string());
-                        break;
-                    }
-                },
-                Ok(None) => {
-                    reader_shared.poison("server closed the connection".to_string());
-                    break;
-                }
-                Err(e) => {
-                    reader_shared.poison(e.to_string());
-                    break;
-                }
-            }
-        });
-
         Ok(RemoteBackend {
-            writer: Mutex::new(stream),
-            shared,
-            corr: RequestIdGenerator::new(),
+            conn: CorrConn::connect(addr, CLIENT_IO_TIMEOUT)?,
             brand: crate::api::next_backend_brand(),
-            version,
-            closed: AtomicBool::new(false),
-            reader: Mutex::new(Some(reader)),
         })
     }
 
     /// The protocol version negotiated for this connection.
     pub fn protocol_version(&self) -> u16 {
-        self.version
-    }
-
-    /// Sends one request frame and blocks for the response that carries the
-    /// same correlation id.  Other threads' requests interleave freely on
-    /// the connection meanwhile.
-    fn request(
-        &self,
-        build: impl FnOnce(RequestId) -> ClientFrame,
-    ) -> Result<ServerFrame, AllocationError> {
-        let corr = self.corr.next();
-        let (tx, rx): (Sender<ServerFrame>, Receiver<ServerFrame>) = unbounded();
-        {
-            // Check-and-register atomically with respect to `poison` (which
-            // holds `dead` while clearing `pending`): otherwise the reader
-            // thread could die between our check and our insert, leaving a
-            // registration nothing will ever answer — a permanent hang.
-            let dead = self.shared.dead.lock();
-            if dead.is_some() {
-                drop(dead);
-                return Err(self.shared.death_error());
-            }
-            self.shared.pending.lock().insert(corr.0, tx);
-        }
-        let frame = build(corr);
-        let write_result = {
-            let mut writer = self.writer.lock();
-            // Concurrent requests on the shared backend connection
-            // serialise their frame writes here; the socket write
-            // timeout bounds a stalled backend.
-            // lint-allow(lock-across-blocking): serialised frame write
-            write_frame(&mut *writer, &frame)
-        };
-        if let Err(e) = write_result {
-            self.shared.pending.lock().remove(&corr.0);
-            // `write_frame` refuses an over-limit frame with InvalidData
-            // *before* sending anything, so the connection is still
-            // perfectly consistent: report it against this request only
-            // instead of poisoning every other in-flight one.
-            if e.kind() == std::io::ErrorKind::InvalidData {
-                return Err(AllocationError::Protocol(e.to_string()));
-            }
-            self.shared.poison(e.to_string());
-            return Err(self.shared.death_error());
-        }
-        rx.recv().map_err(|_| self.shared.death_error())
+        self.conn.version()
     }
 
     fn check_brand(&self, ticket: Ticket) -> Result<u64, AllocationError> {
@@ -2627,7 +1867,10 @@ impl RemoteBackend {
     /// protocol's query encoding.
     fn submit_rendered(&self, query: String) -> Result<Ticket, AllocationError> {
         Self::check_wire_text(&query)?;
-        match self.request(|corr| ClientFrame::Submit { corr, query })? {
+        match self
+            .conn
+            .request(None, |corr| ClientFrame::Submit { corr, query })?
+        {
             ServerFrame::Submitted { ticket, .. } => Ok(Ticket::from_parts(self.brand, ticket)),
             ServerFrame::Error { error, .. } => Err(error),
             other => Err(Self::unexpected(other)),
@@ -2639,25 +1882,10 @@ impl RemoteBackend {
     /// connections; this session should [`shutdown`](ResourceManager::shutdown)
     /// afterwards so the drain can complete.
     pub fn halt_daemon(&self) -> Result<(), AllocationError> {
-        match self.request(|corr| ClientFrame::Halt { corr })? {
+        match self.conn.request(None, |corr| ClientFrame::Halt { corr })? {
             ServerFrame::Ack { .. } => Ok(()),
             ServerFrame::Error { error, .. } => Err(error),
             other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Closes the transport and joins the reader thread.
-    fn close_transport(&self) {
-        if self.closed.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        {
-            let writer = self.writer.lock();
-            let _ = writer.shutdown(std::net::Shutdown::Both);
-        }
-        let reader = self.reader.lock().take();
-        if let Some(reader) = reader {
-            let _ = reader.join();
         }
     }
 }
@@ -2681,7 +1909,7 @@ impl ResourceManager for RemoteBackend {
         for query in &rendered {
             Self::check_wire_text(query)?;
         }
-        match self.request(|corr| ClientFrame::SubmitBatch {
+        match self.conn.request(None, |corr| ClientFrame::SubmitBatch {
             corr,
             queries: rendered,
         })? {
@@ -2696,7 +1924,7 @@ impl ResourceManager for RemoteBackend {
 
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         let wire_id = self.check_brand(ticket)?;
-        match self.request(|corr| ClientFrame::Wait {
+        match self.conn.request(None, |corr| ClientFrame::Wait {
             corr,
             ticket: wire_id,
             deadline_ms: None,
@@ -2713,7 +1941,7 @@ impl ResourceManager for RemoteBackend {
             Err(e) => return Some(Err(e)),
         };
         let deadline_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
-        match self.request(|corr| ClientFrame::Wait {
+        match self.conn.request(None, |corr| ClientFrame::Wait {
             corr,
             ticket: wire_id,
             deadline_ms: Some(deadline_ms),
@@ -2731,7 +1959,7 @@ impl ResourceManager for RemoteBackend {
             Ok(id) => id,
             Err(e) => return Some(Err(e)),
         };
-        match self.request(|corr| ClientFrame::Poll {
+        match self.conn.request(None, |corr| ClientFrame::Poll {
             corr,
             ticket: wire_id,
         }) {
@@ -2744,7 +1972,7 @@ impl ResourceManager for RemoteBackend {
     }
 
     fn release(&self, allocation: &crate::allocation::Allocation) -> Result<(), AllocationError> {
-        match self.request(|corr| ClientFrame::Release {
+        match self.conn.request(None, |corr| ClientFrame::Release {
             corr,
             allocation: allocation.clone(),
         })? {
@@ -2755,20 +1983,20 @@ impl ResourceManager for RemoteBackend {
     }
 
     fn stats(&self) -> StatsSnapshot {
-        match self.request(|corr| ClientFrame::Stats { corr }) {
+        match self.conn.request(None, |corr| ClientFrame::Stats { corr }) {
             Ok(ServerFrame::StatsReply { stats, .. }) => stats,
             _ => StatsSnapshot::default(),
         }
     }
 
     fn shutdown(&self) -> Result<(), AllocationError> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Ok(());
-        }
         // Tell the server so it can settle the session eagerly; a dead
-        // connection is already shut down as far as the client can tell.
-        let result = self.request(|corr| ClientFrame::Shutdown { corr });
-        self.close_transport();
+        // (or already shut down) connection is shut down as far as the
+        // client can tell.
+        let result = self
+            .conn
+            .request(None, |corr| ClientFrame::Shutdown { corr });
+        self.conn.shutdown();
         match result {
             Ok(ServerFrame::Ack { .. }) | Err(AllocationError::Network(_)) => Ok(()),
             Ok(ServerFrame::Error { error, .. }) => Err(error),
@@ -2782,7 +2010,7 @@ impl Drop for RemoteBackend {
     fn drop(&mut self) {
         // Closing the socket ends the server session, which settles any
         // tickets this client abandoned.
-        self.close_transport();
+        self.conn.shutdown();
     }
 }
 
@@ -2791,6 +2019,7 @@ mod tests {
     use super::*;
     use crate::api::{BackendKind, PipelineBuilder};
     use actyp_grid::{FleetSpec, SyntheticFleet};
+    use actyp_proto::{read_client_frame, read_server_frame};
     use std::io::Write;
 
     fn fleet_db(n: usize, seed: u64) -> actyp_grid::SharedDatabase {
@@ -2812,6 +2041,25 @@ mod tests {
 
     fn paper_text() -> String {
         Query::paper_example().to_string()
+    }
+
+    /// A raw socket that has completed the Hello handshake, for tests
+    /// that speak frames the client API never sends.
+    fn raw_session(addr: &StageAddress) -> TcpStream {
+        let mut raw = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
+        write_frame(
+            &mut raw,
+            &ClientFrame::Hello {
+                min_version: PROTOCOL_VERSION,
+                max_version: PROTOCOL_VERSION,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            read_server_frame(&mut raw).unwrap(),
+            Some(ServerFrame::HelloAck { .. })
+        ));
+        raw
     }
 
     #[test]
@@ -2939,19 +2187,7 @@ mod tests {
         // A raw second session replays the FIRST session's wire ticket id,
         // bypassing the client-side brand check entirely: the server must
         // refuse it from its own (empty) session table.
-        let mut raw = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
-        write_frame(
-            &mut raw,
-            &ClientFrame::Hello {
-                min_version: PROTOCOL_VERSION,
-                max_version: PROTOCOL_VERSION,
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            read_server_frame(&mut raw).unwrap(),
-            Some(ServerFrame::HelloAck { .. })
-        ));
+        let mut raw = raw_session(&addr);
         write_frame(
             &mut raw,
             &ClientFrame::Wait {
@@ -2992,19 +2228,7 @@ mod tests {
             .unwrap();
         let addr = server.local_addr();
         {
-            let mut raw = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
-            write_frame(
-                &mut raw,
-                &ClientFrame::Hello {
-                    min_version: PROTOCOL_VERSION,
-                    max_version: PROTOCOL_VERSION,
-                },
-            )
-            .unwrap();
-            assert!(matches!(
-                read_server_frame(&mut raw).unwrap(),
-                Some(ServerFrame::HelloAck { .. })
-            ));
+            let mut raw = raw_session(&addr);
             for i in 0..5 {
                 write_frame(
                     &mut raw,
@@ -3081,19 +2305,7 @@ mod tests {
             .unwrap();
         let addr = server.local_addr();
         {
-            let mut raw = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
-            write_frame(
-                &mut raw,
-                &ClientFrame::Hello {
-                    min_version: PROTOCOL_VERSION,
-                    max_version: PROTOCOL_VERSION,
-                },
-            )
-            .unwrap();
-            assert!(matches!(
-                read_server_frame(&mut raw).unwrap(),
-                Some(ServerFrame::HelloAck { .. })
-            ));
+            let mut raw = raw_session(&addr);
             write_frame(
                 &mut raw,
                 &ClientFrame::Submit {
@@ -3175,6 +2387,42 @@ mod tests {
         // The listener is gone: connecting now fails (or is immediately
         // closed before any HelloAck).
         assert!(RemoteBackend::connect(&addr).is_err());
+    }
+
+    #[test]
+    fn a_reply_with_a_never_issued_correlation_id_fails_the_wait_promptly() {
+        // A fake daemon answers the Submit correctly, then answers the Wait
+        // with a correlation id the client never issued.  The reply cannot
+        // be routed, so the link is desynchronised: the in-flight wait
+        // must fail at once instead of hanging on a reply that will never
+        // come.
+        let (addr, fake) = crate::conn::fake_daemon(|conn| {
+            let Some(ClientFrame::Submit { corr, .. }) = read_client_frame(conn).unwrap() else {
+                panic!("expected Submit");
+            };
+            write_frame(conn, &ServerFrame::Submitted { corr, ticket: 7 }).unwrap();
+            let Some(ClientFrame::Wait { corr, .. }) = read_client_frame(conn).unwrap() else {
+                panic!("expected Wait");
+            };
+            let unissued = RequestId(corr.0 + 1_000);
+            write_frame(conn, &ServerFrame::Pending { corr: unissued }).unwrap();
+            // Hold the socket open: only the bad id may fail the wait.
+            let _ = read_client_frame(conn);
+        });
+        let remote = RemoteBackend::connect(&addr).unwrap();
+        let ticket = remote.submit_text(&paper_text()).unwrap();
+        let (tx, rx) = unbounded();
+        std::thread::spawn(move || {
+            let _ = tx.send(remote.wait(ticket));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the wait must not hang on an unroutable reply");
+        assert!(
+            matches!(&outcome, Err(AllocationError::Network(reason)) if reason.contains("never issued")),
+            "{outcome:?}"
+        );
+        fake.join().unwrap();
     }
 
     #[test]
