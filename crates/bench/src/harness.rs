@@ -359,7 +359,7 @@ pub struct LoadSpec {
     /// Fleet seed.
     pub seed: u64,
     /// Shard count for the self-hosted daemon's hot state (directory
-    /// shards, admission-window lanes).  `0` keeps the daemon's default;
+    /// shards, pending-ticket shards).  `0` keeps the daemon's default;
     /// `1` restores the old single-lock behaviour — the pre-shard series
     /// of the `saturation_cores` sweep.
     pub shards: usize,

@@ -54,9 +54,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use actyp_baselines::{CentralScheduler, Matchmaker};
@@ -384,135 +384,48 @@ impl ReadyTickets {
     }
 }
 
-/// One permit pool of the sharded admission window.
-struct WindowLane {
-    permits: std::sync::Mutex<usize>,
-    available: Condvar,
-}
-
-/// A counting semaphore bounding the live backend's in-flight window,
-/// split into per-lane permit pools with a steal path.
-///
-/// The old single `Mutex<usize>` + condvar was a process-global
-/// rendezvous every submission and every settle crossed: one hot client
-/// saturating it starved every other session's submits behind one lock
-/// queue.  Permits are now dealt across lanes; an acquire starts at a
-/// round-robin home lane, sweeps the other lanes non-blockingly (the
-/// steal path, so capacity is never stranded in an idle lane), and only
-/// parks — with a bounded rescan interval — when every lane is empty.
-/// Releases return the permit to the lane it came from, keeping the
-/// pools balanced under symmetric load.
+/// The live backend's admission semaphore: `capacity` unit permits
+/// queued on an unbounded MPMC channel.  Acquiring receives a permit,
+/// releasing sends one back; the window owns both ends, so the channel
+/// never disconnects.  All blocking and wakeup logic is the channel's,
+/// which the `model` feature proves (see the test module), so a parked
+/// acquirer wakes on the very release that frees its permit.  `parks`
+/// counts the acquires that found the window full.
 struct Window {
     capacity: usize,
-    lanes: Box<[WindowLane]>,
-    cursor: AtomicU64,
-    /// Acquires that found every lane empty or locked and had to park.
-    contention: AtomicU64,
+    permits: Sender<()>,
+    available: Receiver<()>,
+    parks: AtomicU64,
 }
 
-/// How long a parked acquirer waits on its home lane before rescanning
-/// the other lanes for a stolen permit released elsewhere.
-const WINDOW_RESCAN_INTERVAL: Duration = Duration::from_micros(500);
-
 impl Window {
-    fn new(permits: usize, lanes: usize) -> Self {
-        let capacity = permits.max(1);
-        let lanes = lanes.clamp(1, capacity);
-        let base = capacity / lanes;
-        let remainder = capacity % lanes;
-        Window {
-            capacity,
-            lanes: (0..lanes)
-                .map(|i| WindowLane {
-                    permits: std::sync::Mutex::new(base + usize::from(i < remainder)),
-                    available: Condvar::new(),
-                })
-                .collect(),
-            cursor: AtomicU64::new(0),
-            contention: AtomicU64::new(0),
+    fn new(capacity: usize) -> Self {
+        let (permits, available) = unbounded();
+        let window = Window {
+            capacity: capacity.max(1),
+            permits,
+            available,
+            parks: AtomicU64::new(0),
+        };
+        (0..window.capacity).for_each(|_| window.release());
+        window
+    }
+
+    /// Takes a permit, parking until one is released or `deadline`
+    /// passes; `false` when the deadline passed first.
+    fn acquire_until(&self, deadline: Option<Instant>) -> bool {
+        if self.available.try_recv().is_ok() {
+            return true;
+        }
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+            None => self.available.recv().is_ok(),
+            Some(wait) => self.available.recv_timeout(wait).is_ok(),
         }
     }
 
-    /// Non-blocking sweep over every lane starting at `start`; takes the
-    /// first free permit found.  A lane whose lock is momentarily held is
-    /// skipped rather than waited on — the next lane may be free.
-    fn scan_from(&self, start: usize) -> Option<usize> {
-        for offset in 0..self.lanes.len() {
-            let idx = (start + offset) % self.lanes.len();
-            let lane = &self.lanes[idx];
-            let Ok(mut permits) = lane.permits.try_lock() else {
-                continue;
-            };
-            if *permits > 0 {
-                *permits -= 1;
-                return Some(idx);
-            }
-        }
-        None
-    }
-
-    /// Acquires a permit, blocking until one frees; returns the lane the
-    /// permit was taken from (releases must return it there).
-    fn acquire(&self) -> usize {
-        self.acquire_until(None).expect("unbounded window acquire")
-    }
-
-    /// Acquires a permit, giving up at `deadline`.  Returns the permit's
-    /// lane, or `None` when the deadline passed first — the
-    /// deadline-bounded backpressure batch submission applies instead of
-    /// blocking indefinitely.
-    fn acquire_deadline(&self, deadline: Instant) -> Option<usize> {
-        self.acquire_until(Some(deadline))
-    }
-
-    fn acquire_until(&self, deadline: Option<Instant>) -> Option<usize> {
-        let home = (self.cursor.fetch_add(1, Ordering::Relaxed) % self.lanes.len() as u64) as usize;
-        if let Some(lane) = self.scan_from(home) {
-            return Some(lane);
-        }
-        self.contention.fetch_add(1, Ordering::Relaxed);
-        loop {
-            {
-                let lane = &self.lanes[home];
-                let mut permits = lane.permits.lock().expect("window lock");
-                loop {
-                    if *permits > 0 {
-                        *permits -= 1;
-                        return Some(home);
-                    }
-                    let now = Instant::now();
-                    let wait = match deadline {
-                        Some(d) if now >= d => return None,
-                        Some(d) => WINDOW_RESCAN_INTERVAL.min(d - now),
-                        None => WINDOW_RESCAN_INTERVAL,
-                    };
-                    let (guard, timed_out) = lane
-                        .available
-                        .wait_timeout(permits, wait)
-                        .expect("window lock");
-                    permits = guard;
-                    if timed_out.timed_out() {
-                        // Rescan the other lanes: a permit may have been
-                        // released to a lane nobody was parked on.
-                        break;
-                    }
-                }
-            }
-            if let Some(lane) = self.scan_from(home) {
-                return Some(lane);
-            }
-        }
-    }
-
-    fn release(&self, lane: usize) {
-        let lane = &self.lanes[lane];
-        *lane.permits.lock().expect("window lock") += 1;
-        lane.available.notify_one();
-    }
-
-    /// Acquires that found every lane dry and had to park.
-    fn contention(&self) -> u64 {
-        self.contention.load(Ordering::Relaxed)
+    fn release(&self) {
+        self.permits.send(()).expect("window owns its receiver");
     }
 }
 
@@ -591,10 +504,8 @@ pub struct LiveBackend {
     pipeline: LivePipeline,
     brand: u64,
     next: AtomicU64,
-    /// Outstanding tickets, sharded by ticket id.  Each entry remembers
-    /// the window lane its permit came from so settling releases the
-    /// permit to the originating lane.
-    pending: crate::shard::ShardedMap<(usize, crossbeam::channel::Receiver<QueryOutcome>)>,
+    /// Outstanding tickets' reply channels, sharded by ticket id.
+    pending: crate::shard::ShardedMap<Receiver<QueryOutcome>>,
     window: Window,
     batch_deadline: Duration,
     examined: AtomicU64,
@@ -607,34 +518,39 @@ impl LiveBackend {
             brand: next_backend_brand(),
             next: AtomicU64::new(0),
             pending: crate::shard::ShardedMap::new(shards),
-            window: Window::new(window, shards),
+            window: Window::new(window),
             batch_deadline,
             examined: AtomicU64::new(0),
         }
     }
 
-    /// One deadline-bounded batch submission step: waits for a window
-    /// permit until `deadline`, then launches the query.
-    fn submit_until(&self, query: Query, deadline: Instant) -> Result<Ticket, AllocationError> {
-        let Some(lane) = self.window.acquire_deadline(deadline) else {
+    /// Waits for a window permit (until `deadline`, if any), then
+    /// launches the query; a launch the pipeline refuses returns the
+    /// permit.  Only a batch submission passes a deadline.
+    fn submit_until(
+        &self,
+        query: Query,
+        deadline: Option<Instant>,
+    ) -> Result<Ticket, AllocationError> {
+        if !self.window.acquire_until(deadline) {
             return Err(AllocationError::Internal(format!(
                 "batch backpressure deadline of {:?} elapsed with the in-flight \
                  window of {} still full; redeem outstanding tickets, raise \
                  PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
                 self.batch_deadline, self.window.capacity
             )));
-        };
+        }
         match self.pipeline.submit_async(query) {
             Ok(rx) => {
                 let id = self.next.fetch_add(1, Ordering::Relaxed);
-                self.pending.insert(id, (lane, rx));
+                self.pending.insert(id, rx);
                 Ok(Ticket {
                     brand: self.brand,
                     id,
                 })
             }
             Err(e) => {
-                self.window.release(lane);
+                self.window.release();
                 Err(e)
             }
         }
@@ -646,32 +562,18 @@ impl LiveBackend {
         &self.pipeline
     }
 
-    fn settle(&self, outcome: &QueryOutcome, lane: usize) {
+    fn settle(&self, outcome: &QueryOutcome) {
         if let Ok(allocations) = outcome {
             let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
             self.examined.fetch_add(examined, Ordering::Relaxed);
         }
-        self.window.release(lane);
+        self.window.release();
     }
 }
 
 impl ResourceManager for LiveBackend {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        let lane = self.window.acquire();
-        match self.pipeline.submit_async(query) {
-            Ok(rx) => {
-                let id = self.next.fetch_add(1, Ordering::Relaxed);
-                self.pending.insert(id, (lane, rx));
-                Ok(Ticket {
-                    brand: self.brand,
-                    id,
-                })
-            }
-            Err(e) => {
-                self.window.release(lane);
-                Err(e)
-            }
-        }
+        self.submit_until(query, None)
     }
 
     /// Deadline-bounded backpressure: a batch larger than the free window
@@ -688,7 +590,7 @@ impl ResourceManager for LiveBackend {
         let deadline = Instant::now() + self.batch_deadline;
         let mut tickets = Vec::with_capacity(queries.len());
         for query in queries {
-            match self.submit_until(query, deadline) {
+            match self.submit_until(query, Some(deadline)) {
                 Ok(ticket) => tickets.push(ticket),
                 Err(e) => {
                     for ticket in tickets {
@@ -709,7 +611,7 @@ impl ResourceManager for LiveBackend {
         if ticket.brand != self.brand {
             return Err(AllocationError::UnknownTicket);
         }
-        let (lane, rx) = self
+        let rx = self
             .pending
             .remove(ticket.id)
             .ok_or(AllocationError::UnknownTicket)?;
@@ -718,7 +620,7 @@ impl ResourceManager for LiveBackend {
                 "pipeline dropped the reply".to_string(),
             ))
         });
-        self.settle(&outcome, lane);
+        self.settle(&outcome);
         outcome
     }
 
@@ -734,25 +636,25 @@ impl ResourceManager for LiveBackend {
         if ticket.brand != self.brand {
             return Some(Err(AllocationError::UnknownTicket));
         }
-        let (lane, rx) = match self.pending.remove(ticket.id) {
-            Some(entry) => entry,
+        let rx = match self.pending.remove(ticket.id) {
+            Some(rx) => rx,
             None => return Some(Err(AllocationError::UnknownTicket)),
         };
         match rx.recv_timeout(timeout) {
             Ok(outcome) => {
-                self.settle(&outcome, lane);
+                self.settle(&outcome);
                 Some(outcome)
             }
             Err(RecvTimeoutError::Timeout) => {
                 // Deadline elapsed: the ticket stays redeemable.
-                self.pending.insert(ticket.id, (lane, rx));
+                self.pending.insert(ticket.id, rx);
                 None
             }
             Err(RecvTimeoutError::Disconnected) => {
                 let outcome = Err(AllocationError::Internal(
                     "pipeline dropped the reply".to_string(),
                 ));
-                self.settle(&outcome, lane);
+                self.settle(&outcome);
                 Some(outcome)
             }
         }
@@ -768,7 +670,7 @@ impl ResourceManager for LiveBackend {
         // rather than a torn entry; other tickets' shards stay free.
         let mut pending = crate::shard::lock_shard(&self.pending, ticket.id);
         let rx = match pending.get(&ticket.id) {
-            Some((_, rx)) => rx,
+            Some(rx) => rx,
             None => return Some(Err(AllocationError::UnknownTicket)),
         };
         let outcome = match rx.try_recv() {
@@ -778,11 +680,9 @@ impl ResourceManager for LiveBackend {
                 "pipeline dropped the reply".to_string(),
             )),
         };
-        let (lane, _rx) = pending
-            .remove(&ticket.id)
-            .expect("entry present under guard");
+        pending.remove(&ticket.id);
         drop(pending);
-        self.settle(&outcome, lane);
+        self.settle(&outcome);
         Some(outcome)
     }
 
@@ -798,7 +698,8 @@ impl ResourceManager for LiveBackend {
         );
         snapshot.shard_contention = self
             .window
-            .contention()
+            .parks
+            .load(Ordering::Relaxed)
             .saturating_add(self.pipeline.directory().contention());
         snapshot
     }
@@ -1162,9 +1063,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Shard count for the daemon's hot state: directory shards,
-    /// admission-window permit lanes and pending-ticket shards (clamped
-    /// to at least 1; `1` degenerates to the old single-lock behaviour).
+    /// Shard count for the daemon's hot state: directory shards and
+    /// pending-ticket shards (clamped to at least 1; `1` degenerates to
+    /// the old single-lock behaviour).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
         self
@@ -1723,5 +1624,91 @@ mod tests {
         }
         assert_eq!(manager.stats().allocations, 4);
         manager.shutdown().unwrap();
+    }
+}
+
+/// Bounded-interleaving proofs of the admission [`Window`]
+/// (`--features model`), run by the CI `model-check` job.  The window
+/// is a permit channel, so every interleaving of its acquires and
+/// releases is an interleaving of the channel shim the scheduler gates.
+#[cfg(all(test, feature = "model"))]
+mod window_model {
+    use super::Window;
+    use actyp_model::{thread, Explorer, Report};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// Runs `body` on a fresh capacity-1 window under every bounded
+    /// schedule; afterwards no permit may be lost or duplicated.
+    fn prove(body: fn(&Arc<Window>)) -> Report {
+        let report = Explorer::default().prove(move || {
+            let window = Arc::new(Window::new(1));
+            body(&window);
+            assert_eq!(window.available.len(), window.capacity);
+        });
+        assert!(report.proven());
+        report
+    }
+
+    /// Three submitters contend for one permit without deadlocking.
+    #[test]
+    fn window_three_acquirers_one_permit_proven() {
+        let report = prove(|window| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    let window = window.clone();
+                    thread::spawn(move || {
+                        assert!(window.acquire_until(None));
+                        window.release();
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+        });
+        assert!(report.schedules > 10, "interleavings actually explored");
+    }
+
+    /// A deadline acquire whose deadline has passed races the release
+    /// of the only permit: some schedules win it, others time out.
+    #[test]
+    fn window_deadline_acquire_races_release_proven() {
+        static OUTCOMES: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        prove(|window| {
+            assert!(window.acquire_until(None));
+            let window2 = window.clone();
+            let racer = thread::spawn(move || {
+                let won = window2.acquire_until(Some(Instant::now()));
+                OUTCOMES[usize::from(won)].fetch_add(1, Ordering::Relaxed);
+                if won {
+                    window2.release();
+                }
+            });
+            window.release();
+            racer.join().unwrap();
+        });
+        assert!(OUTCOMES.iter().all(|n| n.load(Ordering::Relaxed) > 0));
+    }
+
+    /// A deadline acquire parked on a full window is woken by the
+    /// release itself under every schedule: no polling timer needed.
+    #[test]
+    fn window_parked_deadline_acquire_wakes_on_release_proven() {
+        prove(|window| {
+            assert!(window.acquire_until(None));
+            let window2 = window.clone();
+            let waiter = thread::spawn(move || {
+                let deadline = Instant::now() + Duration::from_secs(3600);
+                assert!(
+                    window2.acquire_until(Some(deadline)),
+                    "woken by the release"
+                );
+                window2.release();
+            });
+            window.release();
+            waiter.join().unwrap();
+        });
     }
 }

@@ -331,9 +331,10 @@ fn serve_inner(
 //
 // A fixed pool of I/O threads drives every session's nonblocking socket
 // through a `reactor::Poller`.  Each session is an explicit state machine
-// (`ReactorSession`); blocking backend calls run on the two shared worker
-// lanes and post their replies into the owning session's `OutQueue`, waking
-// that session's I/O thread through its `IoNotify`.
+// (`ReactorSession`); blocking backend calls run on the three shared worker
+// lanes (submit, redeem, teardown) and post their replies into the owning
+// session's `OutQueue`, waking that session's I/O thread through its
+// `IoNotify`.
 
 #[cfg(unix)]
 mod engine {
@@ -521,12 +522,13 @@ mod engine {
         }
     }
 
-    /// The two worker lanes for blocking backend calls.  They are separate
-    /// pools because their blocking has different *causes*: submit-lane
-    /// jobs (submits, batches, incoming delegations) can block on the
-    /// live backend's admission window, whose permits only redemptions
-    /// free — a single shared pool saturated with window-blocked
-    /// submissions would starve the very waits that unblock it.
+    /// The three worker lanes for blocking backend calls: submit, redeem
+    /// and teardown.  They are separate pools because their blocking has
+    /// different *causes*: submit-lane jobs (submits, batches, incoming
+    /// delegations) can block on the live backend's admission window,
+    /// whose permits only redemptions free — a single shared pool
+    /// saturated with window-blocked submissions would starve the very
+    /// waits that unblock it.
     /// Redeem-lane jobs (waits, federated polls and releases) resolve by
     /// pipeline progress or bounded peer I/O alone, never by the window;
     /// everything a client must complete in order to *return* capacity

@@ -456,10 +456,10 @@ pub struct StatsSnapshot {
     /// dropped.  Zero on a healthy federation — gossip keeps directories
     /// fresh without tearing links down.
     pub peer_redials: u64,
-    /// Times a hot-path shard (directory shard, admission-window lane,
-    /// pending-ticket shard) was found contended and the caller had to
-    /// fall back to a blocking acquire.  Zero when the shard count
-    /// matches the offered concurrency.
+    /// Times a hot path blocked: a directory shard found contended, or a
+    /// live-backend submit that found the admission window full and had
+    /// to park until a redemption freed a permit.  Zero when the shard
+    /// count and the window match the offered concurrency.
     pub shard_contention: u64,
     /// Frames that arrived as part of a multi-frame batch dispatched with
     /// a single lane wakeup (the reactor decodes every complete frame per
