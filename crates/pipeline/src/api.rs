@@ -78,6 +78,17 @@ pub use actyp_proto::types::StatsSnapshot;
 /// The outcome a ticket resolves to.
 pub type QueryOutcome = Result<Vec<Allocation>, AllocationError>;
 
+/// Why [`ResourceManager::try_submit`] issued no ticket.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrySubmitError {
+    /// Launching now would have to wait (a full in-flight window, or a
+    /// backend whose submission does the work itself); the query comes
+    /// back untouched, ready for [`ResourceManager::submit`].
+    WouldBlock(Query),
+    /// The backend refused the launch, exactly as `submit` would have.
+    Failed(AllocationError),
+}
+
 /// Federated domains: one pool manager per `(name, database)` pair.
 pub type DomainList = Vec<(String, SharedDatabase)>;
 
@@ -205,12 +216,29 @@ pub trait ResourceManager: Send + Sync {
     /// and the ticket redeems instantly.
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError>;
 
+    /// Non-blocking launch, the twin of [`try_poll`](Self::try_poll):
+    /// issues a ticket only when that needs no waiting, and otherwise
+    /// hands the query back in [`TrySubmitError::WouldBlock`] for the
+    /// caller to [`submit`](Self::submit) where blocking is allowed.
+    ///
+    /// The default never launches: the embedded, baseline, remote and
+    /// federated backends do real work inside `submit`.  The live backend
+    /// launches whenever its in-flight window has a free permit.
+    fn try_submit(&self, query: Query) -> Result<Ticket, TrySubmitError> {
+        Err(TrySubmitError::WouldBlock(query))
+    }
+
     /// Blocks until the ticket's query finishes and returns its outcome.
     /// Each ticket can be redeemed exactly once.
     fn wait(&self, ticket: Ticket) -> QueryOutcome;
 
-    /// Non-blocking redemption: `None` while the query is still in flight,
-    /// `Some(outcome)` once it finished (the ticket is then spent).
+    /// Redemption that never waits for the query: `None` while it is still
+    /// in flight, `Some(outcome)` once it finished (the ticket is then
+    /// spent).  The in-process backends answer from memory.  The remote
+    /// backend asks its daemon, one round trip, and the federated backend
+    /// runs the delegation chain over its peer links when a finished local
+    /// outcome is a delegable failure — so a daemon calls this on its
+    /// reactor I/O threads only when it is not federated.
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome>;
 
     /// Bounded redemption: blocks up to `timeout` for the outcome.  Returns
@@ -284,6 +312,9 @@ pub trait ResourceManager: Send + Sync {
 impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         (**self).submit(query)
+    }
+    fn try_submit(&self, query: Query) -> Result<Ticket, TrySubmitError> {
+        (**self).try_submit(query)
     }
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         (**self).wait(ticket)
@@ -411,10 +442,16 @@ impl Window {
         window
     }
 
+    /// Takes a free permit without parking (and without counting a park);
+    /// `false` when the window is full.
+    fn try_acquire(&self) -> bool {
+        self.available.try_recv().is_ok()
+    }
+
     /// Takes a permit, parking until one is released or `deadline`
     /// passes; `false` when the deadline passed first.
     fn acquire_until(&self, deadline: Option<Instant>) -> bool {
-        if self.available.try_recv().is_ok() {
+        if self.try_acquire() {
             return true;
         }
         self.parks.fetch_add(1, Ordering::Relaxed);
@@ -525,8 +562,7 @@ impl LiveBackend {
     }
 
     /// Waits for a window permit (until `deadline`, if any), then
-    /// launches the query; a launch the pipeline refuses returns the
-    /// permit.  Only a batch submission passes a deadline.
+    /// launches the query.  Only a batch submission passes a deadline.
     fn submit_until(
         &self,
         query: Query,
@@ -540,6 +576,12 @@ impl LiveBackend {
                 self.batch_deadline, self.window.capacity
             )));
         }
+        self.launch(query)
+    }
+
+    /// Launches a query under a permit the caller already holds; a launch
+    /// the pipeline refuses returns the permit.
+    fn launch(&self, query: Query) -> Result<Ticket, AllocationError> {
         match self.pipeline.submit_async(query) {
             Ok(rx) => {
                 let id = self.next.fetch_add(1, Ordering::Relaxed);
@@ -574,6 +616,13 @@ impl LiveBackend {
 impl ResourceManager for LiveBackend {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         self.submit_until(query, None)
+    }
+
+    fn try_submit(&self, query: Query) -> Result<Ticket, TrySubmitError> {
+        if !self.window.try_acquire() {
+            return Err(TrySubmitError::WouldBlock(query));
+        }
+        self.launch(query).map_err(TrySubmitError::Failed)
     }
 
     /// Deadline-bounded backpressure: a batch larger than the free window
@@ -1391,6 +1440,42 @@ mod tests {
             manager.release(&allocations[0]).unwrap();
         }
         manager.shutdown().unwrap();
+    }
+
+    #[test]
+    fn try_submit_on_a_full_live_window_hands_the_query_back() {
+        let manager = builder(300, 27).window(1).build_live().unwrap();
+        let first = manager.try_submit(Query::paper_example()).unwrap();
+        let parks = manager.stats().shard_contention;
+        let query = actyp_query::parse_query("punch.rsrc.arch = hp\n").unwrap();
+        assert_eq!(
+            manager.try_submit(query.clone()),
+            Err(TrySubmitError::WouldBlock(query.clone())),
+        );
+        assert_eq!(
+            manager.stats().shard_contention,
+            parks,
+            "a refused try_submit is not a park"
+        );
+        // Redeeming the first ticket frees the permit for the same query.
+        let allocations = manager.wait(first).unwrap();
+        manager.release(&allocations[0]).unwrap();
+        let second = manager.try_submit(query).unwrap();
+        let allocations = manager.wait(second).unwrap();
+        assert!(allocations[0].machine_name.contains("hp"));
+        manager.release(&allocations[0]).unwrap();
+        manager.shutdown().unwrap();
+    }
+
+    #[test]
+    fn embedded_try_submit_would_block_and_runs_nothing() {
+        let manager = builder(200, 28).build_embedded().unwrap();
+        let query = Query::paper_example();
+        assert_eq!(
+            manager.try_submit(query.clone()),
+            Err(TrySubmitError::WouldBlock(query))
+        );
+        assert_eq!(manager.stats().requests, 0);
     }
 
     #[test]

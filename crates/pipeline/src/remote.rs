@@ -35,21 +35,34 @@
 //! buffered partial-frame reads, a write queue the I/O thread flushes as
 //! the socket allows (with a high-water mark that stops *reading* from a
 //! client that is not draining its replies), and a drain-aware close that
-//! lets queued replies leave before the socket shuts.  Blocking backend
-//! calls never run on an I/O thread: they are queued onto one shared,
-//! capped [`crate::reactor::WorkerPool`] per lane ([`ServerConfig::workers`]
-//! threads each) —
+//! lets queued replies leave before the socket shuts.
 //!
-//! * the *submit* lane (submit, batch submit, delegations in), whose
-//!   jobs may block on the live backend's admission window,
-//! * the *redeem* lane (wait, federated polls and releases), whose jobs
-//!   resolve by pipeline progress or bounded peer I/O alone, and
+//! A request step that cannot park runs on the I/O thread itself.  On a
+//! daemon that is not federated these are: a submission while the
+//! admission window has a free permit ([`ResourceManager::try_submit`]),
+//! and a wait or poll whose outcome is already in
+//! ([`ResourceManager::try_poll`]).  A release also answers inline there,
+//! and it is the one exception to "never park": the live backend's
+//! release parks the I/O thread until the pool-manager stage has done one
+//! release job.  Every other backend call that can block is queued onto
+//! one shared, capped [`crate::reactor::WorkerPool`] per lane
+//! ([`ServerConfig::workers`] threads each) —
+//!
+//! * the *submit* lane (a submission that found the window full or
+//!   follows one still queued, batch submits, delegations in, and every
+//!   submission on a federated daemon), whose jobs may block on the live
+//!   backend's admission window,
+//! * the *redeem* lane (a wait whose outcome is still pending, federated
+//!   polls and releases), whose jobs resolve by pipeline progress or
+//!   bounded peer I/O alone, and
 //! * the *teardown* lane (session settles for closed connections), so a
 //!   mass disconnect never spawns a thread per closing session —
 //!
 //! kept separate so a lane full of window-blocked submissions can never
 //! starve the redemptions (or the releases clients interleave with them)
-//! that would free those very permits.  Completions
+//! that would free those very permits.  A federated daemon keeps every
+//! submission, wait and poll on the lanes: its `try_poll` may run the
+//! delegation chain over the network.  Completions
 //! are posted back to the owning session's write queue and the I/O thread
 //! is woken to flush them.  The listener itself is one more readiness
 //! source on the first I/O thread — there is no dedicated accept thread —
@@ -88,7 +101,7 @@ use actyp_proto::{
 use actyp_query::Query;
 
 use crate::allocation::{Allocation, AllocationError};
-use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
+use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket, TrySubmitError};
 use crate::conn::CorrConn;
 use crate::message::{RequestId, StageAddress};
 use crate::reactor::PollerKind;
@@ -331,10 +344,14 @@ fn serve_inner(
 //
 // A fixed pool of I/O threads drives every session's nonblocking socket
 // through a `reactor::Poller`.  Each session is an explicit state machine
-// (`ReactorSession`); blocking backend calls run on the three shared worker
-// lanes (submit, redeem, teardown) and post their replies into the owning
-// session's `OutQueue`, waking that session's I/O thread through its
-// `IoNotify`.
+// (`ReactorSession`).  Steps that cannot park (a submit with a free window
+// permit, a redeem whose outcome is in) are answered on the I/O thread,
+// except on a federated daemon; backend calls that can block run on the
+// three shared worker lanes (submit, redeem, teardown) and post their
+// replies into the owning session's `OutQueue`, waking that session's I/O
+// thread through its `IoNotify`.  A plain daemon's release is answered
+// inline too: on the live backend it parks the I/O thread for one
+// pool-manager job.
 
 #[cfg(unix)]
 mod engine {
@@ -732,7 +749,9 @@ mod engine {
 
     /// Decrements the owning session's lane counter when a job finishes —
     /// by panic as much as by return, so a panicking backend cannot wedge
-    /// the session teardown that waits for the count to reach zero.
+    /// the session teardown that waits for the count to reach zero.  The
+    /// decrement is a release: the I/O thread that reads a zero submit
+    /// count (acquire) before an inline submit sees the job's ticket.
     struct JobGuard {
         state: Arc<SessionState>,
         lane: Lane,
@@ -744,7 +763,7 @@ mod engine {
                 Lane::Submit => &self.state.submit_jobs,
                 Lane::Redeem => &self.state.redeem_jobs,
             };
-            counter.fetch_sub(1, Ordering::Relaxed);
+            counter.fetch_sub(1, Ordering::Release);
         }
     }
 
@@ -1229,9 +1248,33 @@ mod engine {
             ClientFrame::Submit { corr, query } => {
                 let shared = shared.clone();
                 let job_state = state.clone();
-                spawn_job(batch, Lane::Submit, &state, corr, move || {
-                    handle_submit(&shared, &job_state, corr, &query)
-                });
+                // A plain daemon launches on the I/O thread while the
+                // window has a free permit, but only with no submit-lane
+                // job in flight for the session, so its wire tickets stay
+                // issued in frame order (the load pairs with `JobGuard`).
+                if shared.federation.is_some() || state.submit_jobs.load(Ordering::Acquire) > 0 {
+                    spawn_job(batch, Lane::Submit, &state, corr, move || {
+                        job_state.answer_submit(corr, shared.manager.submit_text(&query))
+                    });
+                    return;
+                }
+                let query = match actyp_query::parse_query(&query) {
+                    Ok(query) => query,
+                    Err(e) => {
+                        let error = AllocationError::Parse(e.to_string());
+                        state.send(&ServerFrame::Error { corr, error });
+                        return;
+                    }
+                };
+                match shared.manager.try_submit(query) {
+                    Ok(ticket) => state.answer_submit(corr, Ok(ticket)),
+                    Err(TrySubmitError::Failed(error)) => state.answer_submit(corr, Err(error)),
+                    Err(TrySubmitError::WouldBlock(query)) => {
+                        spawn_job(batch, Lane::Submit, &state, corr, move || {
+                            job_state.answer_submit(corr, shared.manager.submit(query))
+                        });
+                    }
+                }
             }
             ClientFrame::SubmitBatch { corr, queries } => {
                 let shared = shared.clone();
@@ -1248,11 +1291,14 @@ mod engine {
                 // Unknown ids are answered inline — no job for a frame
                 // that cannot block; the worker's own atomic claim still
                 // decides races.
-                if !state.tickets.lock().contains_key(&ticket) {
-                    state.send(&ServerFrame::Error {
-                        corr,
-                        error: AllocationError::UnknownTicket,
-                    });
+                let Some(backend_ticket) = state.known_ticket(corr, ticket) else {
+                    return;
+                };
+                // A plain daemon redeems a finished outcome inline, as a
+                // Poll would; only a pending one needs a worker to wait.
+                if shared.federation.is_none()
+                    && state.redeem_ready(&*shared.manager, corr, ticket, backend_ticket)
+                {
                     return;
                 }
                 let shared = shared.clone();
@@ -1262,28 +1308,15 @@ mod engine {
                 });
             }
             ClientFrame::Poll { corr, ticket } => {
-                // Looked up in its own statement: a `match` scrutinee's
-                // temporary guard would live through every arm, holding
-                // the ticket table across the reply send.
-                let looked_up = state.tickets.lock().get(&ticket).copied();
-                let backend_ticket = match looked_up {
-                    None => {
-                        state.send(&ServerFrame::Error {
-                            corr,
-                            error: AllocationError::UnknownTicket,
-                        });
-                        return;
-                    }
-                    Some(backend_ticket) => backend_ticket,
+                let Some(backend_ticket) = state.known_ticket(corr, ticket) else {
+                    return;
                 };
                 let poll = {
                     let shared = shared.clone();
                     let state = state.clone();
-                    move || match shared.manager.try_poll(backend_ticket) {
-                        None => state.send(&ServerFrame::Pending { corr }),
-                        Some(outcome) => {
-                            state.tickets.lock().remove(&ticket);
-                            state.deliver_outcome(corr, outcome);
+                    move || {
+                        if !state.redeem_ready(&*shared.manager, corr, ticket, backend_ticket) {
+                            state.send(&ServerFrame::Pending { corr });
                         }
                     }
                 };
@@ -1318,6 +1351,9 @@ mod engine {
                 // no further waits → no permits freed → submits blocked
                 // forever).  A release never blocks on the window itself —
                 // only on bounded peer I/O — so it is safe on this lane.
+                // Inline otherwise, although on the live backend this parks
+                // the I/O thread until the pool-manager stage answers: one
+                // release job, never the window.
                 if shared.federation.is_some() {
                     spawn_job(batch, Lane::Redeem, &state, corr, release);
                 } else {
@@ -1602,6 +1638,53 @@ impl SessionState {
         wire_id
     }
 
+    /// Answers a submission: issues a wire ticket id, or relays the error.
+    fn answer_submit(&self, corr: RequestId, submitted: Result<Ticket, AllocationError>) {
+        match submitted {
+            Ok(ticket) => {
+                let wire_id = self.issue(ticket);
+                self.send(&ServerFrame::Submitted {
+                    corr,
+                    ticket: wire_id,
+                });
+            }
+            Err(error) => self.send(&ServerFrame::Error { corr, error }),
+        }
+    }
+
+    /// The backend ticket behind a wire id, left in the table; an unknown
+    /// id is answered here.
+    fn known_ticket(&self, corr: RequestId, wire_id: u64) -> Option<Ticket> {
+        // Looked up in its own statement: a scrutinee's temporary guard
+        // would hold the ticket table across the reply send.
+        let looked_up = self.tickets.lock().get(&wire_id).copied();
+        if looked_up.is_none() {
+            self.send(&ServerFrame::Error {
+                corr,
+                error: AllocationError::UnknownTicket,
+            });
+        }
+        looked_up
+    }
+
+    /// Redeems `ticket` (wire id `wire_id`) if its outcome is already in,
+    /// without waiting for the query: delivers the outcome and returns
+    /// `true`, or returns `false` while the query is still in flight.
+    fn redeem_ready(
+        &self,
+        manager: &dyn ResourceManager,
+        corr: RequestId,
+        wire_id: u64,
+        ticket: Ticket,
+    ) -> bool {
+        let Some(outcome) = manager.try_poll(ticket) else {
+            return false;
+        };
+        self.tickets.lock().remove(&wire_id);
+        self.deliver_outcome(corr, outcome);
+        true
+    }
+
     /// Leases an outcome's allocations to this session.  Called *before*
     /// the reply leaves, so there is no window in which an allocation
     /// belongs to nobody.
@@ -1708,22 +1791,6 @@ fn settle_abandoned_tickets(
                 state.tickets.lock().insert(wire_id, ticket);
             }
         }
-    }
-}
-
-#[cfg(unix)]
-fn handle_submit(shared: &ServerShared, state: &SessionState, corr: RequestId, query: &str) {
-    // The trait's own text path: parse errors map exactly as they would for
-    // an in-process client.
-    match shared.manager.submit_text(query) {
-        Ok(ticket) => {
-            let wire_id = state.issue(ticket);
-            state.send(&ServerFrame::Submitted {
-                corr,
-                ticket: wire_id,
-            });
-        }
-        Err(error) => state.send(&ServerFrame::Error { corr, error }),
     }
 }
 
@@ -2425,6 +2492,263 @@ mod tests {
             "{outcome:?}"
         );
         fake.join().unwrap();
+    }
+
+    /// A served backend that reports which thread runs each backend call.
+    /// An embedded engine inside resolves every launch at once, so every
+    /// outcome is ready when redeemed, except the first ticket's, which
+    /// is held back until the test drops the gate's sender.
+    struct ThreadProbe {
+        inner: crate::api::EmbeddedBackend,
+        calls: Sender<(&'static str, String)>,
+        gate: Receiver<()>,
+        held: Mutex<Option<Ticket>>,
+    }
+
+    type ProbeCalls = Receiver<(&'static str, String)>;
+
+    impl ThreadProbe {
+        /// The probe, the calls it reports, and its gate's sender.
+        fn new(seed: u64) -> (Self, ProbeCalls, Sender<()>) {
+            let (calls, seen) = unbounded();
+            let (opener, gate) = unbounded();
+            let probe = ThreadProbe {
+                inner: PipelineBuilder::new()
+                    .database(fleet_db(200, seed))
+                    .build_embedded()
+                    .unwrap(),
+                calls,
+                gate,
+                held: Mutex::new(None),
+            };
+            (probe, seen, opener)
+        }
+
+        fn note(&self, call: &'static str) {
+            let thread = std::thread::current().name().unwrap_or("").to_string();
+            let _ = self.calls.send((call, thread));
+        }
+
+        fn launch(&self, query: Query) -> Result<Ticket, AllocationError> {
+            let ticket = self.inner.submit(query)?;
+            self.held.lock().get_or_insert(ticket);
+            Ok(ticket)
+        }
+
+        fn is_held(&self, ticket: Ticket) -> bool {
+            *self.held.lock() == Some(ticket)
+        }
+    }
+
+    impl ResourceManager for ThreadProbe {
+        fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
+            self.note("submit");
+            self.launch(query)
+        }
+        fn try_submit(&self, query: Query) -> Result<Ticket, TrySubmitError> {
+            self.note("try_submit");
+            self.launch(query).map_err(TrySubmitError::Failed)
+        }
+        fn wait(&self, ticket: Ticket) -> QueryOutcome {
+            self.note("wait");
+            if self.is_held(ticket) {
+                // Returns once the gate's sender is dropped.
+                let _ = self.gate.recv();
+            }
+            self.inner.wait(ticket)
+        }
+        fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
+            use crossbeam::channel::RecvTimeoutError;
+            self.note("wait");
+            if self.is_held(ticket)
+                && self.gate.recv_timeout(timeout) == Err(RecvTimeoutError::Timeout)
+            {
+                return None;
+            }
+            Some(self.inner.wait(ticket))
+        }
+        fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
+            use crossbeam::channel::TryRecvError;
+            self.note("try_poll");
+            if self.is_held(ticket) && self.gate.try_recv() == Err(TryRecvError::Empty) {
+                return None;
+            }
+            self.inner.try_poll(ticket)
+        }
+        fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
+            self.note("release");
+            self.inner.release(allocation)
+        }
+        fn stats(&self) -> StatsSnapshot {
+            self.inner.stats()
+        }
+        fn shutdown(&self) -> Result<(), AllocationError> {
+            self.inner.shutdown()
+        }
+    }
+
+    /// The next backend call the probe reports, as (call, thread prefix).
+    fn next_call(calls: &ProbeCalls) -> (&'static str, String) {
+        let (call, thread) = calls
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the daemon makes the expected backend call");
+        let role = thread.trim_end_matches(|c: char| c.is_ascii_digit());
+        (call, role.to_string())
+    }
+
+    fn call(name: &'static str, role: &str) -> (&'static str, String) {
+        (name, role.to_string())
+    }
+
+    #[test]
+    fn a_ready_round_trip_runs_entirely_on_the_io_thread() {
+        let (probe, calls, gate) = ThreadProbe::new(31);
+        drop(gate);
+        let server = serve(Box::new(probe), &loopback()).unwrap();
+        let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
+        let allocations = remote.submit_text_wait(&paper_text()).unwrap();
+        remote.release(&allocations[0]).unwrap();
+        for expected in ["try_submit", "try_poll", "release"] {
+            assert_eq!(next_call(&calls), call(expected, "ypd-io-"));
+        }
+        remote.halt_daemon().unwrap();
+        remote.shutdown().unwrap();
+        server.join().unwrap();
+        assert!(calls.try_recv().is_err(), "no call ran on a worker lane");
+    }
+
+    #[test]
+    fn a_wait_on_a_pending_outcome_falls_back_to_a_redeem_worker() {
+        let (probe, calls, gate) = ThreadProbe::new(32);
+        let server = serve(Box::new(probe), &loopback()).unwrap();
+        let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
+        let ticket = remote.submit_text(&paper_text()).unwrap();
+        assert_eq!(next_call(&calls), call("try_submit", "ypd-io-"));
+
+        // A deadline wait on the held outcome times out on a worker, and
+        // the ticket stays redeemable.
+        assert!(remote
+            .wait_deadline(ticket, Duration::from_millis(50))
+            .is_none());
+        assert_eq!(next_call(&calls), call("try_poll", "ypd-io-"));
+        assert_eq!(next_call(&calls), call("wait", "ypd-redeem-"));
+
+        // A plain wait parks on a worker and is answered once the gate
+        // opens; the worker is seen waiting before the gate opens.
+        let waiter = std::thread::spawn(move || {
+            let outcome = remote.wait(ticket);
+            (remote, outcome)
+        });
+        assert_eq!(next_call(&calls), call("try_poll", "ypd-io-"));
+        assert_eq!(next_call(&calls), call("wait", "ypd-redeem-"));
+        drop(gate);
+        let (remote, outcome) = waiter.join().unwrap();
+        remote.release(&outcome.unwrap()[0]).unwrap();
+        remote.halt_daemon().unwrap();
+        remote.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    fn submit_frame(corr: u64) -> ClientFrame {
+        ClientFrame::Submit {
+            corr: RequestId(corr),
+            query: paper_text(),
+        }
+    }
+
+    fn wait_frame(corr: u64, ticket: u64) -> ClientFrame {
+        ClientFrame::Wait {
+            corr: RequestId(corr),
+            ticket,
+            deadline_ms: None,
+        }
+    }
+
+    #[test]
+    fn a_full_window_parks_later_submits_on_the_lane_in_frame_order() {
+        let server = PipelineBuilder::new()
+            .database(fleet_db(300, 33))
+            .window(1)
+            .serve(&loopback(), BackendKind::Live)
+            .unwrap();
+        let mut raw = raw_session(&server.local_addr());
+
+        // A takes the only permit at once.
+        write_frame(&mut raw, &submit_frame(0)).unwrap();
+        assert_eq!(
+            read_server_frame(&mut raw).unwrap(),
+            Some(ServerFrame::Submitted {
+                corr: RequestId(0),
+                ticket: 0
+            })
+        );
+        // Let A's outcome come in, so the Wait below redeems it on the
+        // I/O thread and frees the permit between B and C.
+        for corr in 100.. {
+            write_frame(
+                &mut raw,
+                &ClientFrame::Stats {
+                    corr: RequestId(corr),
+                },
+            )
+            .unwrap();
+            match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::StatsReply { stats, .. }) if stats.allocations > 0 => break,
+                Some(ServerFrame::StatsReply { .. }) => std::thread::yield_now(),
+                other => panic!("expected StatsReply, got {other:?}"),
+            }
+        }
+
+        // B finds the window full and queues on the submit lane.  The
+        // permit A's Wait frees goes to B, never to C decoded after it:
+        // each redemption admits the next submission in frame order, and
+        // the wire ticket ids follow that order.
+        let mut allocations = Vec::new();
+        let mut expect = |raw: &mut TcpStream, wait: u64, submitted: Option<u64>| {
+            for _ in 0..1 + usize::from(submitted.is_some()) {
+                match read_server_frame(raw).unwrap() {
+                    Some(ServerFrame::Outcome { corr, outcome }) => {
+                        assert_eq!(corr, RequestId(wait));
+                        allocations.extend(outcome.unwrap());
+                    }
+                    Some(ServerFrame::Submitted { corr, ticket }) => {
+                        assert_eq!(Some(corr), submitted.map(RequestId));
+                        assert_eq!(ticket, corr.0, "wire tickets follow the frame order");
+                    }
+                    other => panic!("expected an Outcome or Submitted, got {other:?}"),
+                }
+            }
+        };
+        let mut pipelined = Vec::new();
+        for frame in [submit_frame(1), wait_frame(10, 0), submit_frame(2)] {
+            write_frame(&mut pipelined, &frame).unwrap();
+        }
+        // One write, so the daemon decodes all three from one read.
+        raw.write_all(&pipelined).unwrap();
+        expect(&mut raw, 10, Some(1));
+        raw.set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        assert!(
+            read_server_frame(&mut raw).is_err(),
+            "C may not pass the window B fills"
+        );
+        raw.set_read_timeout(None).unwrap();
+        write_frame(&mut raw, &wait_frame(11, 1)).unwrap();
+        expect(&mut raw, 11, Some(2));
+        write_frame(&mut raw, &wait_frame(12, 2)).unwrap();
+        expect(&mut raw, 12, None);
+
+        assert_eq!(allocations.len(), 3);
+        for (corr, allocation) in (20..).map(RequestId).zip(allocations) {
+            write_frame(&mut raw, &ClientFrame::Release { corr, allocation }).unwrap();
+            assert_eq!(
+                read_server_frame(&mut raw).unwrap(),
+                Some(ServerFrame::Released { corr })
+            );
+        }
+        drop(raw);
+        server.halt();
+        server.join().unwrap();
     }
 
     #[test]
